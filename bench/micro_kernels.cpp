@@ -70,38 +70,70 @@ void BM_FmRefinement(benchmark::State& state) {
 }
 BENCHMARK(BM_FmRefinement)->Arg(10000)->Arg(50000);
 
-void BM_QuadTreeBuild(benchmark::State& state) {
+// Per-vertex cost, reported in seconds by google-benchmark's SI-prefixed
+// counter display ("85n" = 85 ns per vertex per iteration).
+benchmark::Counter per_vertex(std::int64_t n) {
+  return benchmark::Counter(
+      static_cast<double>(n),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+
+struct WeightedPoints {
+  std::vector<geom::Vec2> pts;
+  std::vector<double> masses;
+};
+
+/// Uniform points with the small integer masses coarsening produces.
+WeightedPoints weighted_points(std::int64_t n) {
   Rng rng(3);
-  std::vector<geom::Vec2> pts(static_cast<std::size_t>(state.range(0)));
-  for (auto& p : pts) p = geom::vec2(rng.uniform(), rng.uniform());
+  WeightedPoints w;
+  w.pts.resize(static_cast<std::size_t>(n));
+  w.masses.resize(static_cast<std::size_t>(n));
+  for (std::size_t i = 0; i < w.pts.size(); ++i) {
+    w.pts[i] = geom::vec2(rng.uniform(), rng.uniform());
+    w.masses[i] = static_cast<double>(1 + i % 4);
+  }
+  return w;
+}
+
+// rebuild() on reused storage, as the embedders do once per iteration.
+void BM_QuadTreeBuild(benchmark::State& state) {
+  const WeightedPoints w = weighted_points(state.range(0));
+  geom::QuadTree tree;
   for (auto _ : state) {
-    geom::QuadTree tree(pts, {});
+    tree.rebuild(w.pts, w.masses);
     benchmark::DoNotOptimize(tree.total_mass());
   }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
+  state.counters["per_vertex"] = per_vertex(state.range(0));
 }
 BENCHMARK(BM_QuadTreeBuild)->Arg(10000)->Arg(100000);
 
+// One iteration of the lattice embedder's intra-cell repulsion: rebuild
+// the tree, then one accumulate_with() per vertex in tree order with the
+// embedder's kernel and theta.
 void BM_QuadTreeForcePass(benchmark::State& state) {
-  Rng rng(3);
-  std::vector<geom::Vec2> pts(static_cast<std::size_t>(state.range(0)));
-  for (auto& p : pts) p = geom::vec2(rng.uniform(), rng.uniform());
-  geom::QuadTree tree(pts, {});
-  auto kernel = [](const geom::Vec2& d, double m) {
-    double d2 = std::max(d.norm2(), 1e-9);
-    return d * (m / d2);
+  const WeightedPoints w = weighted_points(state.range(0));
+  const double k = 1.0 / std::sqrt(static_cast<double>(w.pts.size()));
+  auto kernel = [k](const geom::Vec2& delta, double m) {
+    double d = std::max(delta.norm(), 1e-4 * k);
+    return delta * (0.2 * k * k * m / (d * d));
   };
+  geom::QuadTree tree;
+  std::vector<geom::Vec2> force(w.pts.size());
   for (auto _ : state) {
-    geom::Vec2 total{};
-    for (std::size_t i = 0; i < pts.size(); ++i) {
-      total += tree.accumulate(pts[i], static_cast<std::int64_t>(i), 0.9,
-                               kernel);
+    tree.rebuild(w.pts, w.masses);
+    for (std::uint32_t i : tree.tree_order()) {
+      force[i] = tree.accumulate_with(w.pts[i], static_cast<std::int64_t>(i),
+                                      0.9, kernel) *
+                 w.masses[i];
     }
-    benchmark::DoNotOptimize(total);
+    benchmark::DoNotOptimize(force.data());
+    benchmark::ClobberMemory();
   }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
+  state.counters["per_vertex"] = per_vertex(state.range(0));
 }
-BENCHMARK(BM_QuadTreeForcePass)->Arg(10000);
+BENCHMARK(BM_QuadTreeForcePass)->Arg(10000)->Arg(100000);
 
 void BM_Centerpoint(benchmark::State& state) {
   Rng rng(5);

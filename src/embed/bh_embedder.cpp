@@ -37,11 +37,14 @@ void bh_smooth(const CsrGraph& g, std::vector<Vec2>& coords,
   }
 
   std::vector<Vec2> next(n);
+  geom::QuadTree tree;  // rebuilt every iteration, storage reused
   for (std::uint32_t it = 0; it < iterations; ++it) {
-    geom::QuadTree tree(coords, masses);
+    tree.rebuild(coords, masses);
     double step = cooling.step_at(it);
-    for (VertexId v = 0; v < n; ++v) {
-      Vec2 force = tree.accumulate(
+    // Tree order keeps consecutive queries spatially close; every next[v]
+    // is an independent sum, so the order does not change the result.
+    for (VertexId v : tree.tree_order()) {
+      Vec2 force = tree.accumulate_with(
           coords[v], static_cast<std::int64_t>(v), theta,
           [&](const Vec2& delta, double mass) {
             // delta = query - source; repulsion pushes along +delta.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 #include <unordered_map>
 
 #include "geometry/balanced_grid.hpp"
@@ -52,9 +51,6 @@ EmbedWorkspace::EmbedWorkspace(const coarsen::Hierarchy& hierarchy)
     auto& offsets = child_offsets_[level];
     auto& ids = child_ids_[level];
     offsets.assign(coarse_n + 1, 0);
-    for (VertexId fine : map) {
-      (void)fine;
-    }
     for (VertexId f = 0; f < map.size(); ++f) ++offsets[map[f] + 1];
     for (VertexId c = 0; c < coarse_n; ++c) offsets[c + 1] += offsets[c];
     ids.resize(map.size());
@@ -160,7 +156,6 @@ void build_halo(LevelLocal& local, const CsrGraph& g, OwnerFn&& owner_of,
   local.far_sends.clear();
 
   std::vector<std::vector<std::uint32_t>> sends(local.pl);
-  std::vector<bool> far_mark(local.owned.size(), false);
   double work = 0;
 
   for (std::uint32_t i = 0; i < local.owned.size(); ++i) {
@@ -181,7 +176,6 @@ void build_halo(LevelLocal& local, const CsrGraph& g, OwnerFn&& owner_of,
         sends[o].push_back(i);
         last_dest = o;
       }
-      if (!grid_near(my_rank, o, local.cols)) far_mark[i] = true;
     }
   }
   for (std::uint32_t dest = 0; dest < local.pl; ++dest) {
@@ -195,7 +189,6 @@ void build_halo(LevelLocal& local, const CsrGraph& g, OwnerFn&& owner_of,
       local.far_sends.emplace_back(dest, std::move(list));
     }
   }
-  (void)far_mark;
   local.ghost_pos.assign(local.ghost_ids.size(), Vec2{});
   sub.add_compute(work + static_cast<double>(local.owned.size()));
 }
@@ -384,7 +377,11 @@ void smooth_level(comm::Comm& sub, LevelLocal& local, const CsrGraph& g,
         }
       };
 
-  std::vector<Vec2> tree_pts;  // Vec2 snapshot for the per-iteration tree
+  // Intra-cell Barnes-Hut tree: one per level, rebuilt every iteration
+  // over a Vec2 snapshot of the current positions (storage is reused).
+  const bool use_tree = opt.local_quadtree && owned_n > 1;
+  std::vector<Vec2> tree_pts;
+  geom::QuadTree tree;
 
   for (std::uint32_t it = 0; it < iterations; ++it) {
     const bool refresh = (it % std::max(1u, opt.stale_block)) == 0;
@@ -467,27 +464,29 @@ void smooth_level(comm::Comm& sub, LevelLocal& local, const CsrGraph& g,
     }
     sub.add_compute(10.0 * static_cast<double>(local.pl));
 
-    const bool use_tree = opt.local_quadtree && owned_n > 1;
-    std::optional<geom::QuadTree> tree;
     if (use_tree) {
       tree_pts.resize(owned_n);
       for (std::uint32_t i = 0; i < owned_n; ++i) {
         tree_pts[i] = geom::vec2(px[i], py[i]);
       }
-      tree.emplace(std::span<const Vec2>(tree_pts),
-                   std::span<const double>(mass));
+      tree.rebuild(tree_pts, mass);
       sub.add_compute(4.0 * static_cast<double>(owned_n));
     }
     const double log_owned = std::log2(static_cast<double>(owned_n) + 2.0);
 
+    // Forces are evaluated in the tree's leaf order, so consecutive queries
+    // walk nearly the same nodes. Each force[i] is an independent sum and
+    // arc_work adds integers, so the order does not change any result.
+    const std::span<const std::uint32_t> order = tree.tree_order();
     double arc_work = 0.0;
-    for (std::uint32_t i = 0; i < owned_n; ++i) {
+    for (std::uint32_t k = 0; k < owned_n; ++k) {
+      const std::uint32_t i = use_tree ? order[k] : k;
       Vec2 f = beta_force * mass[i];
       if (use_tree) {
         // Intra-cell repulsion through a local Barnes-Hut pass: no
         // communication, O(log owned) per vertex. The statically
         // dispatched traversal visits nodes in accumulate()'s order.
-        f += tree->accumulate_with(
+        f += tree.accumulate_with(
                  tree_pts[i], static_cast<std::int64_t>(i),
                  opt.quadtree_theta,
                  [&](const Vec2& delta, double m) {
@@ -545,7 +544,8 @@ void smooth_level(comm::Comm& sub, LevelLocal& local, const CsrGraph& g,
       force[i] = geom::vec2(fx, fy);
     }
     // Apply moves after computing all forces (Jacobi update: owned
-    // vertices see each other's previous positions, like ghosts do).
+    // vertices see each other's previous positions, like ghosts do). This
+    // loop stays in owned order: block_energy is an order-sensitive sum.
     for (std::uint32_t i = 0; i < owned_n; ++i) {
       Vec2 move = clipped_move(force[i], step);
       block_energy += move.norm();

@@ -17,11 +17,16 @@ std::ifstream open_or_fail(const std::string& path) {
   return in;
 }
 
-/// Next non-comment, non-empty line; comment char '%' (METIS and MM agree).
-bool next_line(std::istream& in, std::string* line) {
+/// Next non-comment line; comment char '%' (METIS and MM agree). Empty
+/// lines are skipped unless `keep_empty`: among METIS adjacency rows an
+/// empty line is the row of a degree-0 vertex.
+bool next_line(std::istream& in, std::string* line, bool keep_empty = false) {
   while (std::getline(in, *line)) {
     std::size_t pos = line->find_first_not_of(" \t\r");
-    if (pos == std::string::npos) continue;
+    if (pos == std::string::npos) {
+      if (keep_empty) return true;
+      continue;
+    }
     if ((*line)[pos] == '%' || (*line)[pos] == '#') continue;
     return true;
   }
@@ -45,7 +50,9 @@ CsrGraph read_metis(std::istream& in) {
   GraphBuilder builder(static_cast<VertexId>(n));
   builder.reserve_edges(m);
   for (std::uint64_t v = 0; v < n; ++v) {
-    if (!next_line(in, &line)) fail("truncated METIS file");
+    if (!next_line(in, &line, /*keep_empty=*/true)) {
+      fail("truncated METIS file");
+    }
     std::istringstream row(line);
     if (has_vweights) {
       Weight w;

@@ -43,6 +43,32 @@ TEST(GraphIo, MetisParsesCommentsAndHeader) {
   EXPECT_EQ(g.neighbors(0)[0], 1u);
 }
 
+// A degree-0 vertex is an empty adjacency line; it must read back as a
+// vertex, not be skipped (which used to end in "truncated METIS file").
+TEST(GraphIo, MetisRoundTripIsolatedVertices) {
+  GraphBuilder b(5);  // vertex 2 (middle) and vertex 4 (last) are isolated
+  b.add_edge(0, 1);
+  b.add_edge(1, 3);
+  b.add_edge(0, 3);
+  CsrGraph g = b.build();
+  std::stringstream ss;
+  write_metis(g, ss);
+  CsrGraph back = read_metis(ss);
+  EXPECT_EQ(back.num_vertices(), 5u);
+  EXPECT_EQ(back.num_edges(), 3u);
+  EXPECT_EQ(back.xadj(), g.xadj());
+  EXPECT_EQ(back.adjncy(), g.adjncy());
+  EXPECT_TRUE(back.neighbors(2).empty());
+  EXPECT_TRUE(back.neighbors(4).empty());
+
+  // Comment lines between rows are still skipped.
+  std::stringstream commented("3 1\n2\n% vertex 2 follows\n1\n\n");
+  CsrGraph c = read_metis(commented);
+  EXPECT_EQ(c.num_vertices(), 3u);
+  EXPECT_EQ(c.num_edges(), 1u);
+  EXPECT_TRUE(c.neighbors(2).empty());
+}
+
 TEST(GraphIo, MetisRejectsGarbage) {
   std::stringstream empty("");
   EXPECT_THROW(read_metis(empty), std::runtime_error);
