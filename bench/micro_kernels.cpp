@@ -1,11 +1,14 @@
 // Microbenchmarks (google-benchmark) for the library's kernels: matching,
-// contraction, FM refinement, quadtree build + force pass, centerpoint,
-// Delaunay triangulation, cut evaluation, BSP collectives.
+// contraction, FM refinement, quadtree build + force pass, balanced grid
+// build, centerpoint, Delaunay triangulation, cut evaluation, BSP
+// collectives.
 #include <benchmark/benchmark.h>
 
 #include "coarsen/contract.hpp"
 #include "coarsen/matching.hpp"
 #include "comm/engine.hpp"
+#include "embed/lattice_parallel.hpp"
+#include "geometry/balanced_grid.hpp"
 #include "geometry/delaunay.hpp"
 #include "geometry/quadtree.hpp"
 #include "geometry/sphere.hpp"
@@ -70,9 +73,10 @@ void BM_FmRefinement(benchmark::State& state) {
 }
 BENCHMARK(BM_FmRefinement)->Arg(10000)->Arg(50000);
 
-// Per-vertex cost, reported in seconds by google-benchmark's SI-prefixed
-// counter display ("85n" = 85 ns per vertex per iteration).
-benchmark::Counter per_vertex(std::int64_t n) {
+// Per-item cost (per vertex, per sample point), reported in seconds by
+// google-benchmark's SI-prefixed counter display ("85n" = 85 ns per item
+// per iteration).
+benchmark::Counter per_item(std::int64_t n) {
   return benchmark::Counter(
       static_cast<double>(n),
       benchmark::Counter::kIsIterationInvariantRate |
@@ -105,7 +109,7 @@ void BM_QuadTreeBuild(benchmark::State& state) {
     tree.rebuild(w.pts, w.masses);
     benchmark::DoNotOptimize(tree.total_mass());
   }
-  state.counters["per_vertex"] = per_vertex(state.range(0));
+  state.counters["per_vertex"] = per_item(state.range(0));
 }
 BENCHMARK(BM_QuadTreeBuild)->Arg(10000)->Arg(100000);
 
@@ -131,9 +135,32 @@ void BM_QuadTreeForcePass(benchmark::State& state) {
     benchmark::DoNotOptimize(force.data());
     benchmark::ClobberMemory();
   }
-  state.counters["per_vertex"] = per_vertex(state.range(0));
+  state.counters["per_vertex"] = per_item(state.range(0));
 }
 BENCHMARK(BM_QuadTreeForcePass)->Arg(10000)->Arg(100000);
+
+// One BalancedGrid construction as every lattice rank runs it per level:
+// the gathered sample of 24*P+512 positions on the grid_shape(P) grid.
+// The points are Gaussian, denser in the middle like an embedding.
+void BM_BalancedGridBuild(benchmark::State& state) {
+  const auto p = static_cast<std::uint32_t>(state.range(0));
+  const auto [rows, cols] = embed::grid_shape(p);
+  Rng rng(11);
+  std::vector<geom::Vec2> sample(24 * std::size_t{p} + 512);
+  geom::Box box;
+  for (geom::Vec2& q : sample) {
+    q = geom::vec2(rng.normal(), rng.normal());
+    box.expand(q);
+  }
+  box = box.inflated(0.05);
+  for (auto _ : state) {
+    geom::BalancedGrid grid(box, rows, cols, sample);
+    benchmark::DoNotOptimize(grid.cell_box(rows - 1, cols - 1));
+  }
+  state.counters["per_point"] =
+      per_item(static_cast<std::int64_t>(sample.size()));
+}
+BENCHMARK(BM_BalancedGridBuild)->Arg(256)->Arg(1024);
 
 void BM_Centerpoint(benchmark::State& state) {
   Rng rng(5);

@@ -2111,10 +2111,16 @@ Comm Comm::split_(std::uint32_t color, std::uint32_t key,
   for (const Entry& e : all) {
     if (e.color == color) members.push_back(e);
   }
-  std::sort(members.begin(), members.end(), [](const Entry& a, const Entry& b) {
+  // Callers mostly pass key = rank, so the members usually arrive in
+  // order already; world ranks are unique, so skipping the sort then
+  // yields the same order.
+  auto by_key = [](const Entry& a, const Entry& b) {
     return std::make_pair(a.key, a.world_rank) <
            std::make_pair(b.key, b.world_rank);
-  });
+  };
+  if (!std::is_sorted(members.begin(), members.end(), by_key)) {
+    std::sort(members.begin(), members.end(), by_key);
+  }
 
   auto group = std::make_shared<detail::GroupInfo>();
   {

@@ -27,6 +27,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "analysis/determinism.hpp"
@@ -43,10 +44,16 @@ using comm::RankFailedError;
 using comm::ReduceOp;
 using comm::RunStats;
 
+// gtest names each case by a byte dump of its param, so the struct
+// carries its padding as a zeroed member: implicit padding after the
+// backend byte held stack garbage and renamed the cases from one
+// test-binary run to the next.
 struct ConformanceCase {
   exec::Backend backend = exec::Backend::kFiber;
+  std::uint8_t pad[3] = {};
   std::uint32_t nranks = 4;
 };
+static_assert(std::has_unique_object_representations_v<ConformanceCase>);
 
 std::vector<ConformanceCase> conformance_cases() {
   std::vector<exec::Backend> backends{exec::Backend::kFiber};
@@ -58,7 +65,7 @@ std::vector<ConformanceCase> conformance_cases() {
   }
   std::vector<ConformanceCase> cases;
   for (exec::Backend b : backends) {
-    for (std::uint32_t p : {4u, 16u}) cases.push_back({b, p});
+    for (std::uint32_t p : {4u, 16u}) cases.push_back({b, {}, p});
   }
   return cases;
 }
@@ -157,7 +164,7 @@ RunStats run_battery(exec::Backend b, std::uint32_t p, BatteryResult* out) {
 class ExecConformance : public ::testing::TestWithParam<ConformanceCase> {};
 
 TEST_P(ExecConformance, RendezvousBatteryMatchesFiberBitForBit) {
-  const auto [backend, p] = GetParam();
+  const auto [backend, pad, p] = GetParam();
   BatteryResult ref;
   const RunStats ref_stats = run_battery(exec::Backend::kFiber, p, &ref);
   ASSERT_EQ(ref.rows.size(), p);
@@ -218,7 +225,7 @@ RunStats run_crash_and_shrink(exec::Backend b, std::uint32_t p,
 }
 
 TEST_P(ExecConformance, CrashPoisonsSurvivorsAndShrinkRecovers) {
-  const auto [backend, p] = GetParam();
+  const auto [backend, pad, p] = GetParam();
   CrashResult ref;
   const RunStats ref_stats =
       run_crash_and_shrink(exec::Backend::kFiber, p, &ref);
@@ -239,7 +246,7 @@ TEST_P(ExecConformance, CrashPoisonsSurvivorsAndShrinkRecovers) {
 // ---- Deadlock / stall detection ----------------------------------------
 
 TEST_P(ExecConformance, SkippedRendezvousRaisesDeadlockError) {
-  const auto [backend, p] = GetParam();
+  const auto [backend, pad, p] = GetParam();
   BspEngine engine(opts(backend, p));
   EXPECT_THROW(engine.run([](Comm& c) {
     if (c.rank() != 0) c.barrier();  // rank 0 bails out
@@ -250,7 +257,7 @@ TEST_P(ExecConformance, SkippedRendezvousRaisesDeadlockError) {
 // ---- Exception unwind ---------------------------------------------------
 
 TEST_P(ExecConformance, UserExceptionSurfacesWithMessage) {
-  const auto [backend, p] = GetParam();
+  const auto [backend, pad, p] = GetParam();
   BspEngine engine(opts(backend, p));
   try {
     engine.run([](Comm& c) {

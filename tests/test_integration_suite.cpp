@@ -3,13 +3,18 @@
 // tolerance, cut far below random, assembled results consistent).
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <string>
+#include <string_view>
+#include <type_traits>
 
 #include "core/scalapart.hpp"
 #include "core/testsuite.hpp"
 #include "partition/geometric_mesh.hpp"
 #include "partition/multilevel_kl.hpp"
 #include "partition/rcb.hpp"
+#include "support/assert.hpp"
 #include "support/random.hpp"
 
 namespace sp {
@@ -19,10 +24,24 @@ using graph::Bipartition;
 using graph::VertexId;
 using graph::Weight;
 
+// gtest names each case by a byte dump of its param, so the names are
+// fixed-size, zero-filled fields: std::string members dumped heap
+// pointers and stale bytes, and renamed the cases from one test-binary
+// run to the next.
+using Name = std::array<char, 32>;
+
+Name name_of(std::string_view s) {
+  Name n{};
+  SP_ASSERT(s.size() < n.size());
+  std::copy(s.begin(), s.end(), n.begin());
+  return n;
+}
+
 struct Case {
-  std::string graph;
-  std::string method;
+  Name graph;
+  Name method;
 };
+static_assert(std::has_unique_object_representations_v<Case>);
 
 class SuiteSweep : public ::testing::TestWithParam<Case> {};
 
@@ -32,7 +51,8 @@ Weight random_cut_estimate(const graph::CsrGraph& g) {
 }
 
 TEST_P(SuiteSweep, BalancedAndStructureAware) {
-  auto [name, method] = GetParam();
+  const std::string name = GetParam().graph.data();
+  const std::string method = GetParam().method.data();
   auto g = core::make_suite_graph(name, 0.0008, 3);
   Bipartition part;
   double max_imbalance = 0.06;
@@ -72,7 +92,7 @@ std::vector<Case> all_cases() {
   for (const auto& entry : core::paper_suite()) {
     for (const char* method :
          {"ptscotch", "parmetis", "g30", "rcb", "scalapart"}) {
-      cases.push_back({entry.name, method});
+      cases.push_back({name_of(entry.name), name_of(method)});
     }
   }
   return cases;
@@ -81,7 +101,8 @@ std::vector<Case> all_cases() {
 INSTANTIATE_TEST_SUITE_P(
     AllGraphsAllMethods, SuiteSweep, ::testing::ValuesIn(all_cases()),
     [](const auto& info) {
-      std::string label = info.param.graph + "_" + info.param.method;
+      std::string label = std::string(info.param.graph.data()) + "_" +
+                          info.param.method.data();
       for (char& c : label) {
         if (c == '-') c = '_';
       }
