@@ -134,9 +134,9 @@ const RaceAuditor::AccessInfo* RaceAuditor::intern_(
   return &info;
 }
 
-bool RaceAuditor::ordered_before_(const AccessInfo& prior,
-                                  std::uint32_t later_rank) const {
-  return prior.clock <= vc_[later_rank][prior.ep.world_rank];
+bool RaceAuditor::ordered_before_(
+    const AccessInfo& prior, const std::vector<std::uint64_t>& later_clock) {
+  return prior.clock <= later_clock[prior.ep.world_rank];
 }
 
 void RaceAuditor::flag_(const AccessInfo& prior, const AccessInfo& later) {
@@ -164,17 +164,23 @@ void RaceAuditor::on_access(const comm::RaceAccess& access) {
   const std::uint32_t r = access.world_rank;
   ++accesses_;
   if (r >= nranks_ || access.size == 0) return;
-  const AccessInfo* cur = intern_(access);
+  check_and_record_(access, intern_(access), vc_[r]);
+}
+
+void RaceAuditor::check_and_record_(const comm::RaceAccess& access,
+                                    const AccessInfo* cur,
+                                    const std::vector<std::uint64_t>& clock) {
+  const std::uint32_t r = access.world_rank;
   for (std::uintptr_t b = access.addr; b < access.addr + access.size; ++b) {
     Cell& cell = shadow_[b];
     if (cell.write != nullptr && cell.write->ep.world_rank != r &&
-        !ordered_before_(*cell.write, r)) {
+        !ordered_before_(*cell.write, clock)) {
       flag_(*cell.write, *cur);
     }
     if (access.is_write) {
       for (std::uint32_t q = 0; q < cell.reads.size(); ++q) {
         const AccessInfo* rd = cell.reads[q];
-        if (rd != nullptr && q != r && !ordered_before_(*rd, r)) {
+        if (rd != nullptr && q != r && !ordered_before_(*rd, clock)) {
           flag_(*rd, *cur);
         }
       }
@@ -185,6 +191,20 @@ void RaceAuditor::on_access(const comm::RaceAccess& access) {
       cell.reads[r] = cur;
     }
   }
+}
+
+void RaceAuditor::on_rendezvous_publish(std::uint64_t group,
+                                        std::uint64_t seq,
+                                        const comm::RaceAccess& object) {
+  std::lock_guard<std::mutex> lock(mu_);
+  ++accesses_;
+  if (object.world_rank >= nranks_ || object.size == 0) return;
+  const auto it = joins_.find({group, seq});
+  if (it == joins_.end()) return;
+  // The write happens after every arrival, so it is checked against the
+  // join of the arrival clocks. It is stamped with the publisher's clock,
+  // unchanged since its arrival, so every pickup is ordered after it.
+  check_and_record_(object, intern_(object), it->second.clock);
 }
 
 RaceReport RaceAuditor::report() const {

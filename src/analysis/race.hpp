@@ -99,6 +99,8 @@ class RaceAuditor final : public comm::RaceSink {
                             std::uint64_t seq) override;
   void on_rendezvous_pickup(std::uint32_t world_rank, std::uint64_t group,
                             std::uint64_t seq) override;
+  void on_rendezvous_publish(std::uint64_t group, std::uint64_t seq,
+                             const comm::RaceAccess& object) override;
   void on_rank_killed(std::uint32_t world_rank) override;
   void on_access(const comm::RaceAccess& access) override;
 
@@ -128,8 +130,13 @@ class RaceAuditor final : public comm::RaceSink {
   };
 
   const AccessInfo* intern_(const comm::RaceAccess& access);
-  bool ordered_before_(const AccessInfo& prior, std::uint32_t later_rank) const;
+  static bool ordered_before_(const AccessInfo& prior,
+                              const std::vector<std::uint64_t>& later_clock);
   void flag_(const AccessInfo& prior, const AccessInfo& later);
+  /// Checks `access` (recorded as `cur`, made by a rank whose vector
+  /// clock is `clock`) against the shadow cells it covers, then records it.
+  void check_and_record_(const comm::RaceAccess& access, const AccessInfo* cur,
+                         const std::vector<std::uint64_t>& clock);
 
   mutable std::mutex mu_;
   std::uint32_t nranks_ = 0;

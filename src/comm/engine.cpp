@@ -142,6 +142,11 @@ struct CollState {
   std::vector<std::vector<std::byte>> contribs;      // by group rank
   std::vector<std::byte> result;
   std::vector<std::size_t> contrib_sizes;
+  /// allgather_derive / broadcast_derive: the object derived from
+  /// `result` by the first member that asked for one (or what its fn
+  /// threw), shared by every later member that asks.
+  std::shared_ptr<const void> derived;
+  std::exception_ptr derive_error;
   // Exchange-specific:
   bool is_exchange = false;
   std::vector<std::vector<InboxEntry>> inboxes;      // by destination rank
@@ -1570,6 +1575,26 @@ void Comm::barrier(std::source_location loc) {
 }
 
 namespace {
+#ifdef SP_ANALYSIS
+/// The race auditor's view of a derived object: its own bytes, under the
+/// call site of the collective that produced it.
+RaceAccess derived_access(std::uint32_t world_rank, const void* obj,
+                          std::size_t size, bool is_write,
+                          const std::string& stage,
+                          const analysis::CallSite& site) {
+  RaceAccess a;
+  a.world_rank = world_rank;
+  // Identity only, never ordering. sp-lint-allow(pointer-order)
+  a.addr = reinterpret_cast<std::uintptr_t>(obj);
+  a.size = size;
+  a.is_write = is_write;
+  a.label = "comm/derived";
+  a.stage = &stage;
+  a.site = site;
+  return a;
+}
+#endif
+
 analysis::CollOp to_coll_op(Comm::CollKind kind) {
   switch (kind) {
     case Comm::CollKind::kBarrier:
@@ -1592,11 +1617,17 @@ std::vector<std::byte> Comm::collective_(CollKind kind,
                                          std::uint32_t root, Combiner combiner,
                                          std::vector<std::size_t>* counts,
                                          std::uint32_t elem_width,
-                                         const analysis::CallSite& site) {
+                                         const analysis::CallSite& site,
+                                         Derivation* derive) {
 #ifdef SP_EXEC_PROCESS
   if (engine_->in_child()) {
-    return engine_->child_collective(*this, kind, std::move(payload), root,
-                                     combiner, counts, elem_width, site);
+    std::vector<std::byte> result = engine_->child_collective(
+        *this, kind, std::move(payload), root, combiner, counts, elem_width,
+        site);
+    // The proxy carries no fn: a child derives from its own copy.
+    if (derive == nullptr) return result;
+    derive->out = derive->fn(result);
+    return {};
   }
 #endif
   // The engine lock spans the whole rendezvous (released only while
@@ -1772,7 +1803,27 @@ std::vector<std::byte> Comm::collective_(CollKind kind,
 #endif
 
   std::vector<std::byte> my_result;
-  if (kind == CollKind::kGather) {
+  if (derive != nullptr) {
+    // Fold once: the first member to ask derives from the shared result
+    // bytes; every member shares the object instead of copying the bytes.
+    if (st.derived == nullptr && st.derive_error == nullptr) {
+      try {
+        st.derived = derive->fn(st.result);
+      } catch (...) {
+        st.derive_error = std::current_exception();
+      }
+#ifdef SP_ANALYSIS
+      if (RaceSink* rs = race_sink(); rs != nullptr && st.derived != nullptr) {
+        rs->on_rendezvous_publish(
+            group_->id, my_seq,
+            derived_access(world_rank_, st.derived.get(), derive->size,
+                           /*is_write=*/true, engine_->stage_of(world_rank_),
+                           site));
+      }
+#endif
+    }
+    derive->out = st.derived;
+  } else if (kind == CollKind::kGather) {
     if (group_rank_ == root) my_result = st.result;
   } else if (kind != CollKind::kBarrier) {
     my_result = st.result;
@@ -1792,8 +1843,16 @@ std::vector<std::byte> Comm::collective_(CollKind kind,
   // clock (all members arrived — wait_all_arrived returned clean).
   if (RaceSink* rs = race_sink()) {
     rs->on_rendezvous_pickup(world_rank_, group_->id, my_seq);
+    // Every member holding the derived object may read it from here on.
+    if (derive != nullptr && derive->out != nullptr) {
+      rs->on_access(derived_access(world_rank_, derive->out.get(),
+                                   derive->size, /*is_write=*/false,
+                                   engine_->stage_of(world_rank_), site));
+    }
   }
 #endif
+  const std::exception_ptr derive_error =
+      derive != nullptr ? st.derive_error : nullptr;
   if (++st.pickups == st.expected) {
     engine_->erase_state(*group_, my_seq);
   }
@@ -1801,6 +1860,7 @@ std::vector<std::byte> Comm::collective_(CollKind kind,
   // complete (the state cannot leak), from the doomed rank's own context
   // (only a rank's own fiber/thread may unwind it).
   engine_->kill_if_doomed(world_rank_);
+  if (derive_error != nullptr) std::rethrow_exception(derive_error);
   return my_result;
 }
 

@@ -34,6 +34,7 @@
 #include <source_location>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "analysis/signature.hpp"
@@ -167,6 +168,44 @@ class Comm {
       for (auto& c : *counts) c /= sizeof(T);
     }
     return from_bytes_<T>(combined);
+  }
+
+  /// Allgather for callers that only need a value computed from the
+  /// gathered data, such as a grid built from a gathered sample. The
+  /// contributions are concatenated in group-rank order, as allgatherv
+  /// does, and `fn(std::span<const T>)` turns them into an immutable R.
+  /// Every member gets a pointer to the same R. fn runs once per
+  /// collective on the fiber and threads backends: the first member to
+  /// pick up the rendezvous runs it, under the engine lock. On the process
+  /// backend each child runs it on the bytes it receives. The
+  /// communication is traced, timed and fingerprinted exactly as
+  /// allgatherv. Each caller still charges its own add_compute for the
+  /// work in fn, as if it had run fn itself (DESIGN.md §4.3).
+  ///
+  /// fn must be a deterministic function of its input and must not call
+  /// Comm. An exception thrown by fn is rethrown to every member.
+  template <typename T, typename Fn>
+  auto allgather_derive(
+      std::span<const T> values, Fn&& fn,
+      std::source_location loc = std::source_location::current())
+      -> std::shared_ptr<const std::invoke_result_t<Fn&, std::span<const T>>> {
+    static_assert(std::is_trivially_copyable_v<T>);
+    return derive_<T>(CollKind::kAllGather, as_bytes_(values), /*root=*/0, fn,
+                      loc);
+  }
+
+  /// broadcast_vec with the same fold-once rule as allgather_derive: fn
+  /// runs on the root's values once per collective (per child on the
+  /// process backend), and every member shares the result.
+  template <typename T, typename Fn>
+  auto broadcast_derive(
+      std::span<const T> values, std::uint32_t root, Fn&& fn,
+      std::source_location loc = std::source_location::current())
+      -> std::shared_ptr<const std::invoke_result_t<Fn&, std::span<const T>>> {
+    static_assert(std::is_trivially_copyable_v<T>);
+    std::span<const T> mine =
+        rank() == root ? values : std::span<const T>{};
+    return derive_<T>(CollKind::kBroadcast, as_bytes_(mine), root, fn, loc);
   }
 
   /// Root receives the concatenation; others receive empty.
@@ -319,6 +358,16 @@ class Comm {
   using Combiner = std::function<void(std::vector<std::byte>&,
                                       const std::vector<std::byte>&)>;
 
+  /// Type-erased derive request: `fn` maps a collective's result bytes to
+  /// the shared object, `size` is sizeof that object (the race auditor
+  /// records it as written by the collective), and `out` receives it.
+  struct Derivation {
+    std::function<std::shared_ptr<const void>(const std::vector<std::byte>&)>
+        fn;
+    std::size_t size = 0;
+    std::shared_ptr<const void> out;
+  };
+
   Comm(detail::EngineImpl* engine, std::shared_ptr<detail::GroupInfo> group,
        std::uint32_t group_rank, std::uint32_t world_rank);
 
@@ -327,13 +376,33 @@ class Comm {
   /// call signature the matching lint validates across ranks. Takes a
   /// resolved CallSite (not a source_location) so the process backend's
   /// proxy fibers can replay a child rank's operation under the child's
-  /// original call site.
+  /// original call site. With `derive` set, the result bytes are not
+  /// returned; `derive->out` receives the object derived from them.
   std::vector<std::byte> collective_(CollKind kind,
                                      std::vector<std::byte> payload,
                                      std::uint32_t root, Combiner combiner,
                                      std::vector<std::size_t>* counts,
                                      std::uint32_t elem_width,
-                                     const analysis::CallSite& site);
+                                     const analysis::CallSite& site,
+                                     Derivation* derive = nullptr);
+
+  template <typename T, typename Fn>
+  auto derive_(CollKind kind, std::vector<std::byte> payload,
+               std::uint32_t root, Fn& fn, const std::source_location& loc)
+      -> std::shared_ptr<const std::invoke_result_t<Fn&, std::span<const T>>> {
+    using R = std::invoke_result_t<Fn&, std::span<const T>>;
+    Derivation d;
+    d.size = sizeof(R);
+    d.fn = [&fn](const std::vector<std::byte>& bytes)
+        -> std::shared_ptr<const void> {
+      // One typed copy per fold, not per member.
+      const std::vector<T> values = from_bytes_<T>(bytes);
+      return std::make_shared<const R>(fn(std::span<const T>(values)));
+    };
+    collective_(kind, std::move(payload), root, nullptr, /*counts=*/nullptr,
+                sizeof(T), analysis::CallSite::from(loc), &d);
+    return std::static_pointer_cast<const R>(std::move(d.out));
+  }
 
   // CallSite-based internals behind the public exchange/split/shrink
   // wrappers, shared by the direct (fiber/threads) path and the process

@@ -19,7 +19,10 @@
 // (its clock is published to the group) and on_rendezvous_pickup when it
 // leaves (it acquires the join of all members' arrival clocks). Comm
 // splits are built on an allgather, so they need no event of their own;
-// shrink emits the same pair keyed by the engine's failure count. Rank
+// shrink emits the same pair keyed by the engine's failure count. An
+// object derived once for a whole collective (allgather_derive) is
+// published inside its rendezvous and read by every member at pickup, so
+// a member that later writes to it races every other holder. Rank
 // spawn is on_run_begin (all ranks fork from the host with fresh
 // clocks); a fault-plan or detector kill emits on_rank_killed, whose
 // clock orders the victim's history before everything that
@@ -77,6 +80,15 @@ class RaceSink {
   virtual void on_rendezvous_pickup(std::uint32_t world_rank,
                                     std::uint64_t group,
                                     std::uint64_t seq) = 0;
+
+  /// `object.world_rank` derived `object` from the result of rendezvous
+  /// (`group`, `seq`) after every member arrived and before any member
+  /// picked the object up (allgather_derive). The write belongs to the
+  /// rendezvous: it is ordered after every arrival and before every
+  /// pickup. Each member that picks the object up then reports a read of
+  /// it through on_access. Emitted under the engine lock.
+  virtual void on_rendezvous_publish(std::uint64_t group, std::uint64_t seq,
+                                     const RaceAccess& object) = 0;
 
   /// `world_rank` was killed (fault plan or failure detector). Its final
   /// clock orders the victim's past before every rendezvous completed

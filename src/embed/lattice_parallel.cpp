@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
+#include <optional>
+#include <source_location>
 #include <unordered_map>
 
 #include "geometry/balanced_grid.hpp"
@@ -82,6 +85,52 @@ struct CoordMsg {
   double x, y;
 };
 
+/// (dest rank, local indices of the owned vertices it needs).
+using SendPlan =
+    std::vector<std::pair<std::uint32_t, std::vector<std::uint32_t>>>;
+/// (peer rank, coordinates) packets of one ghost superstep.
+using CoordPackets =
+    std::vector<std::pair<std::uint32_t, std::vector<CoordMsg>>>;
+
+/// Fills one packet per destination of `plan` with `coord_of(i)` for each
+/// listed owned index; `out` keeps its buffers across calls.
+template <typename CoordOf>
+void pack_coords(const SendPlan& plan, const std::vector<VertexId>& owned,
+                 CoordOf&& coord_of, CoordPackets& out) {
+  out.resize(plan.size());
+  for (std::size_t k = 0; k < plan.size(); ++k) {
+    out[k].first = plan[k].first;
+    auto& payload = out[k].second;
+    payload.clear();
+    for (std::uint32_t i : plan[k].second) {
+      const Vec2 c = coord_of(i);
+      payload.push_back({owned[i], c[0], c[1]});
+    }
+  }
+}
+
+/// One ghost-coordinate superstep: sends `out` (counted in the
+/// embed/ghost_* metrics), hands every received message to `apply` and
+/// returns how many arrived.
+template <typename Apply>
+std::size_t exchange_coords(
+    comm::Comm& sub, const CoordPackets& out, Apply&& apply,
+    std::source_location loc = std::source_location::current()) {
+  if (obs::active()) {
+    std::size_t sent = 0;
+    for (const auto& packet : out) sent += packet.second.size();
+    obs::count(sub, "embed/ghost_msgs", static_cast<double>(out.size()));
+    obs::count(sub, "embed/ghost_bytes",
+               static_cast<double>(sent * sizeof(CoordMsg)));
+  }
+  std::size_t received = 0;
+  for (const auto& packet : sub.exchange_typed(out, loc)) {
+    received += packet.second.size();
+    for (const CoordMsg& msg : packet.second) apply(msg);
+  }
+  return received;
+}
+
 /// Deterministic per-vertex uniform in [0,1): identical on every rank, so
 /// the coarsest-level initialisation needs no communication.
 double unit_hash(std::uint64_t seed, VertexId v, std::uint64_t salt) {
@@ -92,14 +141,18 @@ double unit_hash(std::uint64_t seed, VertexId v, std::uint64_t salt) {
 }
 
 struct LevelLocal {
+  LevelLocal() = default;
+  LevelLocal(std::size_t lvl, std::uint32_t p, std::uint32_t r, std::uint32_t c)
+      : level(lvl), pl(p), rows(r), cols(c) {}
+
   std::size_t level = 0;
   std::uint32_t pl = 1;            // participating ranks at this level
   std::uint32_t rows = 1, cols = 1;
   Box box;
   /// Load-balanced cell decomposition (RCB-style quantile grid, see
-  /// geometry/balanced_grid.hpp); shared because all ranks build the same
-  /// one from the same gathered sample.
-  std::shared_ptr<geom::BalancedGrid> grid;
+  /// geometry/balanced_grid.hpp). Built once from the gathered sample by
+  /// allgather_derive and shared by every rank of the level.
+  std::shared_ptr<const geom::BalancedGrid> grid;
   std::vector<VertexId> owned;     // sorted global ids
   std::vector<Vec2> pos;           // aligned with owned
   std::unordered_map<VertexId, std::uint32_t> local_idx;
@@ -111,13 +164,13 @@ struct LevelLocal {
 
   /// Near-neighbour send plan: (dest rank, local indices of owned
   /// boundary vertices that rank ghosts). Refreshed every iteration.
-  std::vector<std::pair<std::uint32_t, std::vector<std::uint32_t>>> near_sends;
+  SendPlan near_sends;
   /// Same structure for ranks beyond the 8-neighbourhood; refreshed only
   /// once per stale block. (The paper uses an allgather here; targeted
   /// messages carry the same information with volume proportional to the
   /// far-spanning edges instead of P times that, which matters at reduced
   /// graph scale where cells are tiny and many edges span far cells.)
-  std::vector<std::pair<std::uint32_t, std::vector<std::uint32_t>>> far_sends;
+  SendPlan far_sends;
 };
 
 std::uint32_t grid_row(std::uint32_t rank, std::uint32_t cols) {
@@ -137,13 +190,12 @@ bool grid_near(std::uint32_t a, std::uint32_t b, std::uint32_t cols) {
 
 /// After `owned`/`pos` and the level owner directory are final, derive
 /// ghost lists and the send plans from the shared graph topology.
-/// `owner_of(u)` resolves a vertex's owning rank — an audited read of the
-/// shared directory on most paths, or a plain lookup when the caller
-/// holds a rank-local copy (the coarsest level, where every rank derives
-/// the full map itself).
-template <typename OwnerFn>
-void build_halo(LevelLocal& local, const CsrGraph& g, OwnerFn&& owner_of,
-                std::uint32_t my_rank, comm::Comm& sub) {
+/// `owner[u]` is a vertex's owning rank: one bulk snapshot of the shared
+/// directory, or a rank-local map at the coarsest level, where every
+/// rank derives the full map itself.
+void build_halo(LevelLocal& local, const CsrGraph& g,
+                const std::vector<std::uint32_t>& owner, comm::Comm& sub) {
+  const std::uint32_t my_rank = sub.rank();
   local.local_idx.clear();
   local.local_idx.reserve(local.owned.size());
   for (std::uint32_t i = 0; i < local.owned.size(); ++i) {
@@ -155,7 +207,10 @@ void build_halo(LevelLocal& local, const CsrGraph& g, OwnerFn&& owner_of,
   local.near_sends.clear();
   local.far_sends.clear();
 
-  std::vector<std::vector<std::uint32_t>> sends(local.pl);
+  // (dest, owned index) pairs. Sorted and deduplicated they give every
+  // destination its ascending send list, destinations in ascending order,
+  // at a cost that grows with the peers this rank talks to, not with pl.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> sends;
   double work = 0;
 
   for (std::uint32_t i = 0; i < local.owned.size(); ++i) {
@@ -164,7 +219,7 @@ void build_halo(LevelLocal& local, const CsrGraph& g, OwnerFn&& owner_of,
     work += static_cast<double>(nbrs.size());
     std::uint32_t last_dest = my_rank;  // cheap consecutive-dup filter
     for (VertexId u : nbrs) {
-      std::uint32_t o = owner_of(u);
+      std::uint32_t o = owner[u];
       if (o == my_rank) continue;
       if (local.ghost_idx.find(u) == local.ghost_idx.end()) {
         local.ghost_idx[u] = static_cast<std::uint32_t>(local.ghost_ids.size());
@@ -173,21 +228,18 @@ void build_halo(LevelLocal& local, const CsrGraph& g, OwnerFn&& owner_of,
       }
       if (o != last_dest) {
         // Record that rank o needs v; dedup fully below.
-        sends[o].push_back(i);
+        sends.emplace_back(o, i);
         last_dest = o;
       }
     }
   }
-  for (std::uint32_t dest = 0; dest < local.pl; ++dest) {
-    if (dest == my_rank || sends[dest].empty()) continue;
-    auto& list = sends[dest];
-    std::sort(list.begin(), list.end());
-    list.erase(std::unique(list.begin(), list.end()), list.end());
-    if (grid_near(my_rank, dest, local.cols)) {
-      local.near_sends.emplace_back(dest, std::move(list));
-    } else {
-      local.far_sends.emplace_back(dest, std::move(list));
-    }
+  std::sort(sends.begin(), sends.end());
+  sends.erase(std::unique(sends.begin(), sends.end()), sends.end());
+  for (const auto& [dest, i] : sends) {
+    auto& plan = grid_near(my_rank, dest, local.cols) ? local.near_sends
+                                                      : local.far_sends;
+    if (plan.empty() || plan.back().first != dest) plan.push_back({dest, {}});
+    plan.back().second.push_back(i);
   }
   local.ghost_pos.assign(local.ghost_ids.size(), Vec2{});
   sub.add_compute(work + static_cast<double>(local.owned.size()));
@@ -198,40 +250,18 @@ void build_halo(LevelLocal& local, const CsrGraph& g, OwnerFn&& owner_of,
 /// level's smoothing so the geometric partitioning stage evaluates cuts on
 /// a consistent embedding.
 void refresh_all_ghosts(comm::Comm& sub, LevelLocal& local) {
-  std::vector<std::pair<std::uint32_t, std::vector<CoordMsg>>> out;
-  for (const auto& [dest, locals] : local.near_sends) {
-    std::vector<CoordMsg> payload;
-    payload.reserve(locals.size());
-    for (std::uint32_t i : locals) {
-      payload.push_back({local.owned[i], local.pos[i][0], local.pos[i][1]});
+  auto pos_of = [&](std::uint32_t i) { return local.pos[i]; };
+  CoordPackets out, far;
+  pack_coords(local.near_sends, local.owned, pos_of, out);
+  pack_coords(local.far_sends, local.owned, pos_of, far);
+  out.insert(out.end(), std::make_move_iterator(far.begin()),
+             std::make_move_iterator(far.end()));
+  exchange_coords(sub, out, [&](const CoordMsg& msg) {
+    auto it = local.ghost_idx.find(msg.id);
+    if (it != local.ghost_idx.end()) {
+      local.ghost_pos[it->second] = geom::vec2(msg.x, msg.y);
     }
-    out.emplace_back(dest, std::move(payload));
-  }
-  for (const auto& [dest, locals] : local.far_sends) {
-    std::vector<CoordMsg> payload;
-    payload.reserve(locals.size());
-    for (std::uint32_t i : locals) {
-      payload.push_back({local.owned[i], local.pos[i][0], local.pos[i][1]});
-    }
-    out.emplace_back(dest, std::move(payload));
-  }
-  if (obs::active()) {
-    std::size_t sent = 0;
-    for (const auto& [dest, payload] : out) sent += payload.size();
-    obs::count(sub, "embed/ghost_msgs", static_cast<double>(out.size()));
-    obs::count(sub, "embed/ghost_bytes",
-               static_cast<double>(sent * sizeof(CoordMsg)));
-  }
-  auto in = sub.exchange_typed(out);
-  for (const auto& [src, payload] : in) {
-    (void)src;
-    for (const CoordMsg& msg : payload) {
-      auto it = local.ghost_idx.find(msg.id);
-      if (it != local.ghost_idx.end()) {
-        local.ghost_pos[it->second] = geom::vec2(msg.x, msg.y);
-      }
-    }
-  }
+  });
 }
 
 /// One level's fixed-lattice smoothing.
@@ -283,9 +313,15 @@ void smooth_level(comm::Comm& sub, LevelLocal& local, const CsrGraph& g,
     my_mass += mass[i];
   }
 
-  // Stale global state: per-cell (centre of mass, mass).
-  std::vector<Vec2> beta_pos(local.pl, Vec2{});
-  std::vector<double> beta_mass(local.pl, 0.0);
+  // Stale global state: per-cell (centre of mass, mass), decoded once per
+  // refresh for all ranks, and the inherited repulsion on my cell's beta,
+  // whose inputs change only at a refresh.
+  struct BetaCells {
+    std::vector<Vec2> pos;
+    std::vector<double> mass;
+  };
+  std::shared_ptr<const BetaCells> beta;
+  Vec2 beta_force{};
 
   std::vector<Vec2> force(local.owned.size());
 
@@ -352,30 +388,8 @@ void smooth_level(comm::Comm& sub, LevelLocal& local, const CsrGraph& g,
 
   // Outgoing payload buffers persist across iterations (steady-state
   // supersteps refill them without allocating).
-  std::vector<std::pair<std::uint32_t, std::vector<CoordMsg>>> near_out(
-      local.near_sends.size());
-  for (std::size_t k = 0; k < local.near_sends.size(); ++k) {
-    near_out[k].first = local.near_sends[k].first;
-    near_out[k].second.reserve(local.near_sends[k].second.size());
-  }
-  std::vector<std::pair<std::uint32_t, std::vector<CoordMsg>>> far_out(
-      local.far_sends.size());
-  for (std::size_t k = 0; k < local.far_sends.size(); ++k) {
-    far_out[k].first = local.far_sends[k].first;
-    far_out[k].second.reserve(local.far_sends[k].second.size());
-  }
-  auto fill_payloads =
-      [&](const std::vector<std::pair<std::uint32_t, std::vector<std::uint32_t>>>&
-              sends,
-          std::vector<std::pair<std::uint32_t, std::vector<CoordMsg>>>& out) {
-        for (std::size_t k = 0; k < sends.size(); ++k) {
-          auto& payload = out[k].second;
-          payload.clear();
-          for (std::uint32_t i : sends[k].second) {
-            payload.push_back({local.owned[i], px[i], py[i]});
-          }
-        }
-      };
+  CoordPackets near_out, far_out;
+  auto current = [&](std::uint32_t i) { return geom::vec2(px[i], py[i]); };
 
   // Intra-cell Barnes-Hut tree: one per level, rebuilt every iteration
   // over a Vec2 snapshot of the current positions (storage is reused).
@@ -407,61 +421,43 @@ void smooth_level(comm::Comm& sub, LevelLocal& local, const CsrGraph& g,
         agg[1] += mass[i] * px[i];
         agg[2] += mass[i] * py[i];
       }
-      auto all = sub.allgatherv(std::span<const double>(agg, 3));
-      for (std::uint32_t r = 0; r < local.pl; ++r) {
-        beta_mass[r] = all[3 * r];
-        beta_pos[r] = beta_mass[r] > 0.0
-                          ? geom::vec2(all[3 * r + 1] / beta_mass[r],
-                                       all[3 * r + 2] / beta_mass[r])
-                          : Vec2{};
+      beta = sub.allgather_derive(
+          std::span<const double>(agg, 3), [](std::span<const double> all) {
+            BetaCells cells;
+            cells.pos.resize(all.size() / 3);
+            cells.mass.resize(all.size() / 3);
+            for (std::size_t r = 0; r < cells.mass.size(); ++r) {
+              cells.mass[r] = all[3 * r];
+              cells.pos[r] = cells.mass[r] > 0.0
+                                 ? geom::vec2(all[3 * r + 1] / cells.mass[r],
+                                              all[3 * r + 2] / cells.mass[r])
+                                 : Vec2{};
+            }
+            return cells;
+          });
+      // Inherited repulsion: force per unit mass on my cell's beta from
+      // all other cells (paper eq. 1, vector form).
+      beta_force = Vec2{};
+      if (my_mass > 0.0) {
+        for (std::uint32_t r = 0; r < local.pl; ++r) {
+          if (r == me || beta->mass[r] <= 0.0) continue;
+          beta_force +=
+              model.repulsive(beta->pos[me], beta->pos[r], beta->mass[r]);
+        }
       }
       // Far-spanning edge endpoints: one targeted exchange per block.
-      fill_payloads(local.far_sends, far_out);
-      if (obs::active()) {
-        std::size_t sent = 0;
-        for (const auto& [dest, payload] : far_out) sent += payload.size();
-        obs::count(sub, "embed/ghost_msgs",
-                   static_cast<double>(far_out.size()));
-        obs::count(sub, "embed/ghost_bytes",
-                   static_cast<double>(sent * sizeof(CoordMsg)));
-      }
-      auto far_in = sub.exchange_typed(far_out);
-      double far_work = 0;
-      for (const auto& [src, payload] : far_in) {
-        (void)src;
-        far_work += static_cast<double>(payload.size());
-        for (const CoordMsg& msg : payload) apply_ghost(msg);
-      }
-      sub.add_compute(far_work + static_cast<double>(local.pl));
+      pack_coords(local.far_sends, local.owned, current, far_out);
+      const std::size_t far_in = exchange_coords(sub, far_out, apply_ghost);
+      sub.add_compute(static_cast<double>(far_in) +
+                      static_cast<double>(local.pl));
     }
 
     // Nearest-neighbour boundary exchange (every iteration).
-    {
-      fill_payloads(local.near_sends, near_out);
-      if (obs::active()) {
-        std::size_t sent = 0;
-        for (const auto& [dest, payload] : near_out) sent += payload.size();
-        obs::count(sub, "embed/ghost_msgs",
-                   static_cast<double>(near_out.size()));
-        obs::count(sub, "embed/ghost_bytes",
-                   static_cast<double>(sent * sizeof(CoordMsg)));
-      }
-      auto in = sub.exchange_typed(near_out);
-      for (const auto& [src, payload] : in) {
-        (void)src;
-        for (const CoordMsg& msg : payload) apply_ghost(msg);
-      }
-    }
+    pack_coords(local.near_sends, local.owned, current, near_out);
+    exchange_coords(sub, near_out, apply_ghost);
 
-    // Inherited repulsion: force per unit mass on my cell's beta from all
-    // other cells (paper eq. 1, vector form).
-    Vec2 beta_force{};
-    if (my_mass > 0.0) {
-      for (std::uint32_t r = 0; r < local.pl; ++r) {
-        if (r == me || beta_mass[r] <= 0.0) continue;
-        beta_force += model.repulsive(beta_pos[me], beta_pos[r], beta_mass[r]);
-      }
-    }
+    // The inherited repulsion is charged every iteration, as if it were
+    // recomputed here; its inputs change only at a refresh.
     sub.add_compute(10.0 * static_cast<double>(local.pl));
 
     if (use_tree) {
@@ -495,11 +491,11 @@ void smooth_level(comm::Comm& sub, LevelLocal& local, const CsrGraph& g,
                           (model.C * model.K * model.K * m / (d * d));
                  }) *
              mass[i];
-      } else if (beta_mass[me] > mass[i]) {
+      } else if (beta->mass[me] > mass[i]) {
         // Own-cell correction (paper eq. 2): repelled from own beta, with
         // the vertex's own mass excluded from the aggregate.
-        f += model.repulsive(geom::vec2(px[i], py[i]), beta_pos[me],
-                             beta_mass[me] - mass[i]) *
+        f += model.repulsive(geom::vec2(px[i], py[i]), beta->pos[me],
+                             beta->mass[me] - mass[i]) *
              mass[i];
       }
       const std::uint32_t begin = nbr_off[i];
@@ -643,28 +639,66 @@ LevelLocal restore_level(comm::Comm& sub, const EmbedCheckpoint& ckpt,
   const std::string prev = sub.stage();
   sub.set_stage(obs::stages::kRecover);
   obs::Span span(sub, obs::stages::kRecover, "fault");
-  LevelLocal init;
-  init.level = lvl;
-  init.pl = pl;
-  init.rows = rows;
-  init.cols = cols;
+  LevelLocal init(lvl, pl, rows, cols);
   // Every rank reads the checkpoint object below (pl/owner on all ranks,
   // coords on rank 0); the writer's allgather + the recovery shrink
   // order those reads after the write. All reads go through the seam —
   // on the process backend a child's own image of the checkpoint is
   // stale (the writer published into the supervisor's copy).
   analysis::note_shared_read(sub, ckpt, "embed/checkpoint");
-  std::vector<Vec2> coords;
+  std::vector<Vec2> saved;
   if (sub.rank() == 0) {
-    coords = analysis::shared_fetch_vec(sub, ckpt.coords, "embed/checkpoint");
+    saved = analysis::shared_fetch_vec(sub, ckpt.coords, "embed/checkpoint");
   }
-  coords = sub.broadcast_vec(std::span<const Vec2>(coords), 0);
-  SP_ASSERT(coords.size() == g.num_vertices());
   const std::uint32_t ckpt_pl =
       analysis::shared_load(sub, ckpt.pl, "embed/checkpoint");
   const std::vector<std::uint32_t> ckpt_owner =
       analysis::shared_fetch_vec(sub, ckpt.owner, "embed/checkpoint");
-  if (ckpt_pl == pl && ckpt_owner.size() == g.num_vertices()) {
+  const bool exact = ckpt_pl == pl && ckpt_owner.size() == g.num_vertices();
+  // The broadcast coordinates and, when redistributing, the box, the
+  // balanced grid and every vertex's cell: derived once for all ranks.
+  // The box is recomputed from the coordinates (positions drift outside
+  // the smoothing-time box) and the grid is built for the current rank
+  // count with the same proportional sampling as projection.
+  struct Restored {
+    std::vector<Vec2> coords;
+    Box box;
+    std::optional<geom::BalancedGrid> grid;
+    std::vector<std::uint32_t> cell;
+  };
+  auto restored = sub.broadcast_derive(
+      std::span<const Vec2>(saved), 0, [&](std::span<const Vec2> coords) {
+        Restored r;
+        r.coords.assign(coords.begin(), coords.end());
+        if (exact) return r;
+        double ext[4] = {1e300, 1e300, 1e300, 1e300};
+        for (const Vec2& c : coords) {
+          ext[0] = std::min(ext[0], c[0]);
+          ext[1] = std::min(ext[1], c[1]);
+          ext[2] = std::min(ext[2], -c[0]);
+          ext[3] = std::min(ext[3], -c[1]);
+        }
+        r.box.lo = geom::vec2(ext[0], ext[1]);
+        r.box.hi = geom::vec2(-ext[2], -ext[3]);
+        r.box = r.box.inflated(0.05);
+        const double n_level = static_cast<double>(coords.size());
+        const double sample_target = std::min(n_level, 24.0 * pl + 512.0);
+        const std::size_t stride = std::max<std::size_t>(
+            static_cast<std::size_t>(n_level / sample_target), 1);
+        std::vector<Vec2> sample;
+        for (std::size_t v = 0; v < coords.size(); v += stride) {
+          sample.push_back(coords[v]);
+        }
+        r.grid.emplace(r.box, rows, cols, std::span<const Vec2>(sample));
+        r.cell.resize(coords.size());
+        for (std::size_t v = 0; v < coords.size(); ++v) {
+          r.cell[v] = r.grid->cell_index(coords[v]);
+        }
+        return r;
+      });
+  const std::vector<Vec2>& coords = restored->coords;
+  SP_ASSERT(coords.size() == g.num_vertices());
+  if (exact) {
     // ---- Exact restore (cold restart on the same rank count) ----
     // The checkpoint's own box and ownership map reproduce the level's
     // state as projection left it, bit for bit. That exactness matters:
@@ -673,58 +707,25 @@ LevelLocal restore_level(comm::Comm& sub, const EmbedCheckpoint& ckpt,
     // partition. The balanced grid is left unbuilt — only smoothing needs
     // it, and the resumed level is already smoothed.
     init.box = analysis::shared_load(sub, ckpt.box, "embed/checkpoint");
-    // Shared-directory discipline: every entry has exactly one owner, so
-    // each rank writes only its own entries (distinct indices), and the
-    // barrier below publishes the completed directory.
-    for (VertexId v = 0; v < g.num_vertices(); ++v) {
-      if (ckpt_owner[v] == sub.rank()) {
-        owner.write(sub, v, ckpt_owner[v]);
-        init.owned.push_back(v);
-        init.pos.push_back(coords[v]);
-      }
-    }
-    sub.add_compute(2.0 * static_cast<double>(coords.size()));
-    sub.barrier();  // owner directory complete
-    sub.set_stage(prev);
-    return init;
+  } else {
+    init.box = restored->box;
+    init.grid = std::shared_ptr<const geom::BalancedGrid>(restored,
+                                                          &*restored->grid);
   }
-  // Recompute the box from the coordinates (positions drift outside the
-  // smoothing-time box) and rebuild a load-balanced grid for the current
-  // rank count with the same proportional sampling as projection.
-  double ext[4] = {1e300, 1e300, 1e300, 1e300};
-  for (const Vec2& c : coords) {
-    ext[0] = std::min(ext[0], c[0]);
-    ext[1] = std::min(ext[1], c[1]);
-    ext[2] = std::min(ext[2], -c[0]);
-    ext[3] = std::min(ext[3], -c[1]);
-  }
-  init.box.lo = geom::vec2(ext[0], ext[1]);
-  init.box.hi = geom::vec2(-ext[2], -ext[3]);
-  init.box = init.box.inflated(0.05);
-  const double n_level = static_cast<double>(coords.size());
-  const double sample_target = std::min(n_level, 24.0 * pl + 512.0);
-  const std::size_t stride = std::max<std::size_t>(
-      static_cast<std::size_t>(n_level / sample_target), 1);
-  std::vector<Vec2> sample;
-  for (std::size_t v = 0; v < coords.size(); v += stride) {
-    sample.push_back(coords[v]);
-  }
-  init.grid = std::make_shared<geom::BalancedGrid>(
-      init.box, rows, cols, std::span<const Vec2>(sample));
-  // Every rank derives the same ownership deterministically, but the
-  // directory is shared — so each rank publishes only its own entries
-  // (distinct indices; every vertex has exactly one owner in [0, pl),
-  // and all of those ranks are active here), and the barrier below
-  // makes the completed directory visible before build_halo reads it.
+  // Every rank reads the same ownership, but the directory is shared —
+  // so each rank publishes only its own entries (distinct indices; every
+  // vertex has exactly one owner in [0, pl), and all of those ranks are
+  // active here), and the barrier below makes the completed directory
+  // visible before build_halo reads it.
+  const std::vector<std::uint32_t>& cell = exact ? ckpt_owner : restored->cell;
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    const std::uint32_t cell = init.grid->cell_index(coords[v]);
-    if (cell == sub.rank()) {
-      owner.write(sub, v, cell);
+    if (cell[v] == sub.rank()) {
+      owner.write(sub, v, cell[v]);
       init.owned.push_back(v);
       init.pos.push_back(coords[v]);
     }
   }
-  sub.add_compute(2.0 * n_level);
+  sub.add_compute(2.0 * static_cast<double>(coords.size()));
   sub.barrier();  // owner directory complete
   sub.set_stage(prev);
   return init;
@@ -785,19 +786,12 @@ RankEmbedding lattice_embed(comm::Comm& world, EmbedWorkspace& workspace,
         local = restore_level(sub, *checkpoint, lvl, pl, rows, cols, g, owner);
         // One bulk snapshot of the completed directory (restore_level
         // barriers before returning) instead of a per-vertex read.
-        const std::vector<std::uint32_t> owner_now = owner.snapshot(sub);
-        build_halo(
-            local, g, [&](VertexId u) { return owner_now[u]; }, sub.rank(),
-            sub);
+        build_halo(local, g, owner.snapshot(sub), sub);
       } else if (lvl == coarsest) {
         // Deterministic random initial embedding in the unit box; every
         // rank derives the same positions, so ownership needs no
         // communication.
-        LevelLocal init;
-        init.level = lvl;
-        init.pl = pl;
-        init.rows = rows;
-        init.cols = cols;
+        LevelLocal init(lvl, pl, rows, cols);
         init.box.lo = geom::vec2(0, 0);
         init.box.hi = geom::vec2(1, 1);
         // The coarsest graph is small: every rank derives all positions,
@@ -807,7 +801,7 @@ RankEmbedding lattice_embed(comm::Comm& world, EmbedWorkspace& workspace,
           all_pos[v] = geom::vec2(unit_hash(opt.seed, v, 1),
                                   unit_hash(opt.seed, v, 2));
         }
-        init.grid = std::make_shared<geom::BalancedGrid>(
+        init.grid = std::make_shared<const geom::BalancedGrid>(
             init.box.inflated(1e-6), rows, cols,
             std::span<const Vec2>(all_pos));
         // Every active rank derives the identical full map, so keep it
@@ -825,9 +819,7 @@ RankEmbedding lattice_embed(comm::Comm& world, EmbedWorkspace& workspace,
         }
         sub.add_compute(static_cast<double>(g.num_vertices()));
         local = std::move(init);
-        build_halo(
-            local, g, [&](VertexId u) { return coarse_owner[u]; }, sub.rank(),
-            sub);
+        build_halo(local, g, coarse_owner, sub);
         smooth_level(sub, local, g, opt, opt.coarsest_iterations,
                      /*initial_step_factor=*/2.0, /*final_step_fraction=*/1e-3);
       } else {
@@ -837,11 +829,7 @@ RankEmbedding lattice_embed(comm::Comm& world, EmbedWorkspace& workspace,
         // projected positions with one min/max reduction — the layout
         // drifts and contracts during smoothing, and decomposing a stale
         // box would pack most of the graph into a few cells.
-        LevelLocal next;
-        next.level = lvl;
-        next.pl = pl;
-        next.rows = rows;
-        next.cols = cols;
+        LevelLocal next(lvl, pl, rows, cols);
         const bool had_coarse = local.level == lvl + 1 && !local.owned.empty();
         std::vector<CoordMsg> children;
         // Slots store {min x, min y, min -x, min -y}: one kMin reduction
@@ -893,27 +881,41 @@ RankEmbedding lattice_embed(comm::Comm& world, EmbedWorkspace& workspace,
             my_sample.push_back(geom::vec2(children[i].x, children[i].y));
           }
         }
-        auto sample = sub.allgatherv(std::span<const Vec2>(my_sample));
-        next.grid = std::make_shared<geom::BalancedGrid>(
-            next.box, rows, cols, std::span<const Vec2>(sample));
-        sub.add_compute(static_cast<double>(sample.size()) * 8.0);
+        struct SampledGrid {
+          geom::BalancedGrid grid;
+          std::size_t samples;
+        };
+        auto sampled = sub.allgather_derive(
+            std::span<const Vec2>(my_sample),
+            [&box = next.box, rows = rows,
+             cols = cols](std::span<const Vec2> sample) {
+              return SampledGrid{geom::BalancedGrid(box, rows, cols, sample),
+                                 sample.size()};
+            });
+        next.grid = std::shared_ptr<const geom::BalancedGrid>(sampled,
+                                                              &sampled->grid);
+        sub.add_compute(static_cast<double>(sampled->samples) * 8.0);
 
-        std::vector<std::pair<std::uint32_t, std::vector<CoordMsg>>> out;
-        std::vector<std::vector<CoordMsg>> by_dest(pl);
-        for (const CoordMsg& msg : children) {
-          by_dest[next.grid->cell_index(geom::vec2(msg.x, msg.y))].push_back(
-              msg);
+        // (dest cell, child index), sorted: one packet per destination in
+        // ascending order, children in their original order within it.
+        std::vector<std::pair<std::uint32_t, std::uint32_t>> by_dest;
+        by_dest.reserve(children.size());
+        for (std::uint32_t k = 0; k < children.size(); ++k) {
+          by_dest.emplace_back(next.grid->cell_index(geom::vec2(
+                                   children[k].x, children[k].y)),
+                               k);
         }
-        for (std::uint32_t dest = 0; dest < pl; ++dest) {
-          if (!by_dest[dest].empty()) {
-            out.emplace_back(dest, std::move(by_dest[dest]));
-          }
+        std::sort(by_dest.begin(), by_dest.end());
+        CoordPackets out;
+        for (const auto& [dest, k] : by_dest) {
+          if (out.empty() || out.back().first != dest) out.push_back({dest, {}});
+          out.back().second.push_back(children[k]);
         }
         auto in = sub.exchange_typed(out);
         std::vector<CoordMsg> received;
-        for (auto& [src, payload] : in) {
-          (void)src;
-          received.insert(received.end(), payload.begin(), payload.end());
+        for (const auto& packet : in) {
+          received.insert(received.end(), packet.second.begin(),
+                          packet.second.end());
         }
         std::sort(received.begin(), received.end(),
                   [](const CoordMsg& a, const CoordMsg& b) { return a.id < b.id; });
@@ -928,10 +930,7 @@ RankEmbedding lattice_embed(comm::Comm& world, EmbedWorkspace& workspace,
         sub.barrier();  // owner directory complete
         local = std::move(next);
         // Bulk snapshot, same reasoning as the resume path above.
-        const std::vector<std::uint32_t> owner_now = owner.snapshot(sub);
-        build_halo(
-            local, g, [&](VertexId u) { return owner_now[u]; }, sub.rank(),
-            sub);
+        build_halo(local, g, owner.snapshot(sub), sub);
         smooth_level(sub, local, g, opt, opt.smooth_iterations,
                      /*initial_step_factor=*/0.5, /*final_step_fraction=*/0.05);
       }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <tuple>
 #include <unordered_map>
 
 #include "geometry/sphere.hpp"
@@ -100,14 +101,22 @@ ParallelGmtResult parallel_gmt(comm::Comm& comm, const CsrGraph& g,
   for (std::uint32_t i : sample_indices(n_local, quota, opt.seed ^ me)) {
     my_sample.push_back(lifted[i]);
   }
-  auto sample = comm.allgatherv(std::span<const Vec3>(my_sample));
-  Rng cp_rng(opt.seed ^ 0xCE27E9ull);  // same stream on every rank
-  Vec3 cp = sample.empty()
-                ? Vec3{}
-                : geom::approximate_centerpoint(sample, cp_rng, sample.size());
-  if (cp.norm() >= 0.999) cp = cp * (0.999 / cp.norm());
-  geom::ConformalMap map(cp);
-  comm.add_compute(static_cast<double>(sample.size()) * 50.0);
+  struct Centerpoint {
+    Vec3 cp;
+    std::size_t samples;
+  };
+  auto center = comm.allgather_derive(
+      std::span<const Vec3>(my_sample),
+      [seed = opt.seed](std::span<const Vec3> sample) {
+        Rng cp_rng(seed ^ 0xCE27E9ull);  // same stream wherever it runs
+        Vec3 cp = sample.empty() ? Vec3{}
+                                 : geom::approximate_centerpoint(
+                                       sample, cp_rng, sample.size());
+        if (cp.norm() >= 0.999) cp = cp * (0.999 / cp.norm());
+        return Centerpoint{cp, sample.size()};
+      });
+  geom::ConformalMap map(center->cp);
+  comm.add_compute(static_cast<double>(center->samples) * 50.0);
 
   for (Vec3& p : lifted) p = map.apply(p);
   for (Vec3& p : ghost_lifted) p = map.apply(p);
@@ -139,41 +148,39 @@ ParallelGmtResult parallel_gmt(comm::Comm& comm, const CsrGraph& g,
   // ---- Median thresholds from one combined sample allgather. ----
   const std::size_t med_quota = proportional_quota(opt.median_sample);
   auto med_idx = sample_indices(n_local, med_quota, opt.seed ^ (me * 77ull));
-  std::vector<double> med_out;
-  med_out.reserve(tries * med_idx.size());
-  for (std::uint32_t t = 0; t < tries; ++t) {
-    for (std::uint32_t i : med_idx) med_out.push_back(s[t][i]);
-  }
-  // Variable contributions per rank: tag each value with its try index by
-  // interleaving blocks; simplest robust layout is (try, value) pairs.
+  // Variable contributions per rank: tag each value with its try index;
+  // simplest robust layout is (try, value) pairs.
   struct TryValue {
     std::uint32_t t;
     double v;
   };
   std::vector<TryValue> med_pairs;
-  med_pairs.reserve(med_out.size());
-  {
-    std::size_t k = 0;
-    for (std::uint32_t t = 0; t < tries; ++t) {
-      for (std::size_t i = 0; i < med_idx.size(); ++i, ++k) {
-        med_pairs.push_back({t, med_out[k]});
-      }
-    }
+  med_pairs.reserve(tries * med_idx.size());
+  for (std::uint32_t t = 0; t < tries; ++t) {
+    for (std::uint32_t i : med_idx) med_pairs.push_back({t, s[t][i]});
   }
-  auto med_all = comm.allgatherv(std::span<const TryValue>(med_pairs));
-  std::vector<double> threshold(tries, 0.0);
-  {
-    std::vector<std::vector<double>> per_try(tries);
-    for (const TryValue& tv : med_all) per_try[tv.t].push_back(tv.v);
-    for (std::uint32_t t = 0; t < tries; ++t) {
-      auto& vals = per_try[t];
-      SP_ASSERT(!vals.empty());
-      auto mid = vals.begin() + static_cast<std::ptrdiff_t>(vals.size() / 2);
-      std::nth_element(vals.begin(), mid, vals.end());
-      threshold[t] = *mid;
-    }
-    comm.add_compute(static_cast<double>(med_all.size()) * 2.0);
-  }
+  struct Thresholds {
+    std::vector<double> value;  // per try
+    std::size_t samples;
+  };
+  auto thresholds = comm.allgather_derive(
+      std::span<const TryValue>(med_pairs),
+      [tries](std::span<const TryValue> med_all) {
+        std::vector<std::vector<double>> per_try(tries);
+        for (const TryValue& tv : med_all) per_try[tv.t].push_back(tv.v);
+        Thresholds th{std::vector<double>(tries, 0.0), med_all.size()};
+        for (std::uint32_t t = 0; t < tries; ++t) {
+          auto& vals = per_try[t];
+          SP_ASSERT(!vals.empty());
+          auto mid =
+              vals.begin() + static_cast<std::ptrdiff_t>(vals.size() / 2);
+          std::nth_element(vals.begin(), mid, vals.end());
+          th.value[t] = *mid;
+        }
+        return th;
+      });
+  const std::vector<double>& threshold = thresholds->value;
+  comm.add_compute(static_cast<double>(thresholds->samples) * 2.0);
 
   // ---- Local cut and balance contributions; one reduction picks best. ----
   std::unordered_map<VertexId, std::uint32_t> ghost_of;
@@ -184,6 +191,14 @@ ParallelGmtResult parallel_gmt(comm::Comm& comm, const CsrGraph& g,
   std::unordered_map<VertexId, std::uint32_t> local_of;
   local_of.reserve(n_local);
   for (std::uint32_t i = 0; i < n_local; ++i) local_of[emb.owned[i]] = i;
+  // s value of try t at vertex u, owned or ghost.
+  auto s_at = [&](std::uint32_t t, VertexId u) {
+    auto it_local = local_of.find(u);
+    if (it_local != local_of.end()) return s[t][it_local->second];
+    auto it_ghost = ghost_of.find(u);
+    SP_ASSERT(it_ghost != ghost_of.end());
+    return s_ghost[t][it_ghost->second];
+  };
 
   std::vector<double> contrib(tries * 3, 0.0);  // (cut2, w0, w1) per try
   double arc_work = 0.0;
@@ -197,17 +212,7 @@ ParallelGmtResult parallel_gmt(comm::Comm& comm, const CsrGraph& g,
       auto ws = g.edge_weights_of(v);
       arc_work += static_cast<double>(nbrs.size());
       for (std::size_t k = 0; k < nbrs.size(); ++k) {
-        VertexId u = nbrs[k];
-        double su;
-        auto it_local = local_of.find(u);
-        if (it_local != local_of.end()) {
-          su = s[t][it_local->second];
-        } else {
-          auto it_ghost = ghost_of.find(u);
-          SP_ASSERT(it_ghost != ghost_of.end());
-          su = s_ghost[t][it_ghost->second];
-        }
-        if (side_v != (su > threshold[t])) {
+        if (side_v != (s_at(t, nbrs[k]) > threshold[t])) {
           contrib[3 * t] += static_cast<double>(ws[k]);  // counted twice total
         }
       }
@@ -244,14 +249,7 @@ ParallelGmtResult parallel_gmt(comm::Comm& comm, const CsrGraph& g,
     VertexId v = emb.owned[i];
     bool side_v = result.side[i] != 0;
     for (VertexId u : g.neighbors(v)) {
-      double su;
-      auto it_local = local_of.find(u);
-      if (it_local != local_of.end()) {
-        su = s[best_t][it_local->second];
-      } else {
-        su = s_ghost[best_t][ghost_of.at(u)];
-      }
-      if (side_v != (su > threshold[best_t])) {
+      if (side_v != (s_at(best_t, u) > threshold[best_t])) {
         local_boundary += 1.0;
         break;
       }
@@ -271,26 +269,30 @@ ParallelGmtResult parallel_gmt(comm::Comm& comm, const CsrGraph& g,
   for (std::uint32_t i : med_idx) {
     margin_sample.push_back(std::abs(s[best_t][i] - threshold[best_t]));
   }
-  auto all_margins = comm.allgatherv(std::span<const double>(margin_sample));
-  double strip_width = 0.0;
-  double collar_width = 0.0;
-  if (!all_margins.empty()) {
-    auto quantile = [&](double frac) {
-      frac = std::clamp(frac, 0.0, 1.0);
-      auto kth =
-          all_margins.begin() +
-          static_cast<std::ptrdiff_t>(std::min(
-              all_margins.size() - 1,
-              static_cast<std::size_t>(
-                  frac * static_cast<double>(all_margins.size()))));
-      std::nth_element(all_margins.begin(), kth, all_margins.end());
-      return *kth;
-    };
-    double strip_frac = target / n_global;
-    strip_width = quantile(strip_frac);
-    collar_width =
-        quantile(std::min(opt.collar_factor * strip_frac, 0.30));
-  }
+  // (strip width, collar width).
+  auto widths = comm.allgather_derive(
+      std::span<const double>(margin_sample),
+      [strip_frac = target / n_global,
+       collar_factor = opt.collar_factor](std::span<const double> gathered) {
+        std::pair<double, double> w{0.0, 0.0};
+        if (gathered.empty()) return w;
+        std::vector<double> all_margins(gathered.begin(), gathered.end());
+        auto quantile = [&](double frac) {
+          frac = std::clamp(frac, 0.0, 1.0);
+          auto kth =
+              all_margins.begin() +
+              static_cast<std::ptrdiff_t>(std::min(
+                  all_margins.size() - 1,
+                  static_cast<std::size_t>(
+                      frac * static_cast<double>(all_margins.size()))));
+          std::nth_element(all_margins.begin(), kth, all_margins.end());
+          return *kth;
+        };
+        w.first = quantile(strip_frac);
+        w.second = quantile(std::min(collar_factor * strip_frac, 0.30));
+        return w;
+      });
+  const auto [strip_width, collar_width] = *widths;
 
   // Ship (id, side, movable) for vertices within the collar to rank 0.
   std::vector<StripRecord> ship;
@@ -391,35 +393,31 @@ graph::Weight distributed_cut(comm::Comm& comm, const CsrGraph& g,
   }
 
   // Who ghosts my vertices: owner(u) for every ghost u adjacent to owned v
-  // needs (v, side_v). Deduplicate per destination.
+  // needs (v, side_v). Sorted and deduplicated (dest, v, side_v) triples
+  // give one packet per destination, in ascending destination and vertex
+  // order, at a cost that grows with the peers, not with P.
   struct SideMsg {
     VertexId id;
     std::uint32_t side;
   };
-  std::vector<std::vector<SideMsg>> by_dest(comm.nranks());
-  std::vector<std::uint32_t> last_sent(emb.owned.size(), comm.rank());
+  std::vector<std::tuple<std::uint32_t, VertexId, std::uint32_t>> sends;
   for (std::uint32_t i = 0; i < emb.owned.size(); ++i) {
+    std::uint32_t last_dest = comm.rank();  // consecutive-dup filter
     for (VertexId u : g.neighbors(emb.owned[i])) {
       auto it = ghost_of.find(u);
       if (it == ghost_of.end()) continue;
       std::uint32_t dest = emb.ghost_owner[it->second];
-      if (dest == last_sent[i]) continue;  // consecutive-dup filter
-      by_dest[dest].push_back({emb.owned[i], side[i]});
-      last_sent[i] = dest;
+      if (dest == last_dest || dest == comm.rank()) continue;
+      sends.emplace_back(dest, emb.owned[i], side[i]);
+      last_dest = dest;
     }
   }
+  std::sort(sends.begin(), sends.end());
+  sends.erase(std::unique(sends.begin(), sends.end()), sends.end());
   std::vector<std::pair<std::uint32_t, std::vector<SideMsg>>> out;
-  for (std::uint32_t dest = 0; dest < comm.nranks(); ++dest) {
-    if (dest == comm.rank() || by_dest[dest].empty()) continue;
-    auto& list = by_dest[dest];
-    std::sort(list.begin(), list.end(),
-              [](const SideMsg& a, const SideMsg& b) { return a.id < b.id; });
-    list.erase(std::unique(list.begin(), list.end(),
-                           [](const SideMsg& a, const SideMsg& b) {
-                             return a.id == b.id;
-                           }),
-               list.end());
-    out.emplace_back(dest, std::move(list));
+  for (const auto& [dest, id, sd] : sends) {
+    if (out.empty() || out.back().first != dest) out.push_back({dest, {}});
+    out.back().second.push_back({id, sd});
   }
   auto in = comm.exchange_typed(out);
   std::vector<std::uint8_t> ghost_side(emb.ghost_ids.size(), 0);

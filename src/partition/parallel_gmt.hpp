@@ -4,7 +4,9 @@
 // the paper's parallel formulation:
 //  - the centerpoint is computed from a small sample gathered across all
 //    ranks (one allgather), then every rank derives the same centerpoint
-//    and conformal map redundantly;
+//    and conformal map redundantly (the simulator computes the
+//    centerpoint once per allgather_derive and charges every rank for it,
+//    DESIGN.md §4.3);
 //  - all candidate great circles are evaluated redundantly on each rank:
 //    one allgather of threshold samples, then a single reduction combining
 //    every candidate's (cut, side-weight) contributions selects the best —

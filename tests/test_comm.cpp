@@ -2,9 +2,16 @@
 // splitting, cost accounting, determinism.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdint>
+#include <memory>
 #include <numeric>
+#include <string>
+#include <type_traits>
+#include <vector>
 
 #include "comm/engine.hpp"
+#include "exec/executor.hpp"
 
 namespace sp::comm {
 namespace {
@@ -280,6 +287,252 @@ TEST(Comm, LargeRankCountCollectives) {
   // log2(256) = 8 latency terms at t_s = 1.7us.
   EXPECT_NEAR(stats.makespan(), 8 * 1.7e-6, 8 * 1.7e-6 * 0.5 + 1e-6);
 }
+
+// ---- allgather_derive: fold once, share the result -------------------
+//
+// Run on every compiled-in backend. The derived object must carry exactly
+// the allgatherv bytes, fn must run once per collective in each address
+// space (once in-process, once per child on the process backend), and the
+// modeled side of the run must be indistinguishable from allgatherv plus
+// a local fn on every rank.
+
+// gtest names each case by a byte dump of its param: keep the padding an
+// explicit zeroed member (see test_exec_conformance.cpp).
+struct DeriveCase {
+  exec::Backend backend = exec::Backend::kFiber;
+  std::uint8_t pad[3] = {};
+  std::uint32_t nranks = 4;
+};
+static_assert(std::has_unique_object_representations_v<DeriveCase>);
+
+std::vector<DeriveCase> derive_cases() {
+  std::vector<exec::Backend> backends{exec::Backend::kFiber};
+  if (exec::threads_backend_available()) {
+    backends.push_back(exec::Backend::kThreads);
+  }
+  if (exec::process_backend_available()) {
+    backends.push_back(exec::Backend::kProcess);
+  }
+  std::vector<DeriveCase> cases;
+  for (exec::Backend b : backends) {
+    for (std::uint32_t p : {4u, 16u}) cases.push_back({b, {}, p});
+  }
+  return cases;
+}
+
+std::string derive_case_name(
+    const ::testing::TestParamInfo<DeriveCase>& info) {
+  return std::string(exec::backend_name(info.param.backend)) + "_P" +
+         std::to_string(info.param.nranks);
+}
+
+BspEngine::Options derive_opts(const DeriveCase& c) {
+  BspEngine::Options o;
+  o.nranks = c.nranks;
+  o.backend = c.backend;
+  o.threads = 4;
+  return o;
+}
+
+constexpr int kDeriveRounds = 3;
+
+/// fn calls in this address space (a forked child counts its own).
+std::atomic<std::int64_t> g_derive_calls{0};
+
+struct Gathered {
+  std::vector<std::int64_t> values;
+  std::int64_t digest = 0;
+};
+
+Gathered summarize(std::span<const std::int64_t> all) {
+  g_derive_calls.fetch_add(1, std::memory_order_relaxed);
+  Gathered g;
+  g.values.assign(all.begin(), all.end());
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    g.digest += static_cast<std::int64_t>(i + 1) * all[i];
+  }
+  return g;
+}
+
+/// Rank r contributes r % 3 values, so ranks 0, 3, 6, ... send nothing.
+std::vector<std::int64_t> contribution(std::uint32_t r, int round) {
+  return std::vector<std::int64_t>(r % 3, static_cast<std::int64_t>(r) * 10 +
+                                              round);
+}
+
+struct DeriveRow {
+  std::int64_t digest[kDeriveRounds] = {};
+  std::int64_t bytes_ok = 1;  // every round matched the expected bytes
+  std::int64_t calls = 0;     // g_derive_calls after the last round
+  std::uint64_t object = 0;   // address of round 0's object
+};
+
+/// The same program twice over: with allgather_derive (`derive`), or with
+/// allgatherv and fn run locally on every rank. Rank 0 (always in the
+/// host process) gathers every rank's row into `rows`.
+RunStats run_derive_program(const DeriveCase& dc, bool derive,
+                            std::vector<DeriveRow>* rows) {
+  g_derive_calls = 0;
+  BspEngine engine(derive_opts(dc));
+  return engine.run([derive, rows](Comm& c) {
+    c.set_stage("derive");
+    DeriveRow row;
+    // Held to the end so no round's object reuses another's address.
+    std::vector<std::shared_ptr<const Gathered>> held;
+    for (int k = 0; k < kDeriveRounds; ++k) {
+      const auto mine = contribution(c.rank(), k);
+      const std::span<const std::int64_t> span(mine);
+      std::shared_ptr<const Gathered> g =
+          derive ? c.allgather_derive(span, summarize)
+                 : std::make_shared<const Gathered>(
+                       summarize(c.allgatherv(span)));
+      c.add_compute(static_cast<double>(g->values.size()));
+      std::vector<std::int64_t> expected;
+      for (std::uint32_t q = 0; q < c.nranks(); ++q) {
+        const auto theirs = contribution(q, k);
+        expected.insert(expected.end(), theirs.begin(), theirs.end());
+      }
+      if (g->values != expected) row.bytes_ok = 0;
+      row.digest[k] = g->digest;
+      if (k == 0) row.object = reinterpret_cast<std::uintptr_t>(g.get());
+      held.push_back(std::move(g));
+    }
+    c.barrier();  // every member's rounds are done before counting
+    row.calls = g_derive_calls.load();
+    auto all = c.gatherv(std::span<const DeriveRow>(&row, 1), 0);
+    if (c.rank() == 0) *rows = std::move(all);
+  });
+}
+
+class CollectiveDerive : public ::testing::TestWithParam<DeriveCase> {};
+
+TEST_P(CollectiveDerive, FoldsOncePerAddressSpaceWithIdenticalBytes) {
+  const DeriveCase dc = GetParam();
+  std::vector<DeriveRow> rows;
+  run_derive_program(dc, /*derive=*/true, &rows);
+  ASSERT_EQ(rows.size(), dc.nranks);
+  for (std::uint32_t r = 0; r < dc.nranks; ++r) {
+    SCOPED_TRACE("rank " + std::to_string(r));
+    EXPECT_EQ(rows[r].bytes_ok, 1);
+    // One fn call per collective wherever this rank's copy was derived:
+    // the shared fold in-process, the child's own fold on process.
+    EXPECT_EQ(rows[r].calls, kDeriveRounds);
+    for (int k = 0; k < kDeriveRounds; ++k) {
+      EXPECT_EQ(rows[r].digest[k], rows[0].digest[k]);
+    }
+    if (dc.backend != exec::Backend::kProcess) {
+      EXPECT_EQ(rows[r].object, rows[0].object) << "not one shared object";
+    }
+  }
+}
+
+TEST_P(CollectiveDerive, ModeledRunMatchesAllgathervPlusLocalFn) {
+  const DeriveCase dc = GetParam();
+  std::vector<DeriveRow> derived, local;
+  const RunStats a = run_derive_program(dc, /*derive=*/true, &derived);
+  const RunStats b = run_derive_program(dc, /*derive=*/false, &local);
+  EXPECT_EQ(a.fingerprint(), b.fingerprint());
+  ASSERT_EQ(a.clocks.size(), b.clocks.size());
+  for (std::size_t r = 0; r < a.clocks.size(); ++r) {
+    EXPECT_EQ(a.clocks[r], b.clocks[r]) << "rank " << r;
+  }
+  ASSERT_EQ(derived.size(), local.size());
+  for (std::size_t r = 0; r < derived.size(); ++r) {
+    EXPECT_EQ(local[r].bytes_ok, 1);
+    for (int k = 0; k < kDeriveRounds; ++k) {
+      EXPECT_EQ(derived[r].digest[k], local[r].digest[k]);
+    }
+  }
+}
+
+TEST_P(CollectiveDerive, DeadMemberRaisesRankFailedError) {
+  const DeriveCase dc = GetParam();
+  BspEngine::Options o = derive_opts(dc);
+  // Rank 1 dies entering its second communication event: the derive.
+  o.faults.crashes.push_back({/*rank=*/1, /*stage=*/"", /*after_events=*/1});
+  struct Outcome {
+    std::int64_t observers = 0;
+    std::int64_t survivors = 0;
+    std::int64_t digest = 0;
+  } out;
+  BspEngine engine(o);
+  const RunStats stats = engine.run([&out](Comm& world0) {
+    Comm world = world0;
+    world.barrier();
+    bool caught = false;
+    try {
+      (void)world.allgather_derive(
+          std::span<const std::int64_t>(contribution(world.rank(), 0)),
+          summarize);
+    } catch (const RankFailedError&) {
+      caught = true;
+      world = world.shrink();
+    }
+    // The shrunken group derives as any other group does.
+    const auto mine = contribution(world.world_rank(), 1);
+    auto g = world.allgather_derive(std::span<const std::int64_t>(mine),
+                                    summarize);
+    const auto observers =
+        world.allreduce<std::int64_t>(caught ? 1 : 0, ReduceOp::kSum);
+    if (world.world_rank() == 0) {
+      out.observers = observers;
+      out.survivors = world.nranks();
+      out.digest = g->digest;
+    }
+  });
+  EXPECT_EQ(stats.failed_ranks, std::vector<std::uint32_t>{1u});
+  EXPECT_EQ(out.observers, static_cast<std::int64_t>(dc.nranks - 1));
+  EXPECT_EQ(out.survivors, static_cast<std::int64_t>(dc.nranks - 1));
+  std::vector<std::int64_t> expected;
+  for (std::uint32_t q = 0; q < dc.nranks; ++q) {
+    if (q == 1) continue;
+    const auto theirs = contribution(q, 1);
+    expected.insert(expected.end(), theirs.begin(), theirs.end());
+  }
+  EXPECT_EQ(out.digest, summarize(expected).digest);
+}
+
+TEST_P(CollectiveDerive, BroadcastDeriveSharesTheRootsValues) {
+  const DeriveCase dc = GetParam();
+  std::int64_t mismatches = -1;
+  BspEngine engine(derive_opts(dc));
+  engine.run([&mismatches](Comm& c) {
+    const std::vector<std::int64_t> mine = {7, static_cast<std::int64_t>(c.rank()),
+                                            11};
+    auto g = c.broadcast_derive(std::span<const std::int64_t>(mine), 2,
+                                summarize);
+    const std::int64_t bad =
+        g->values != std::vector<std::int64_t>{7, 2, 11} ? 1 : 0;
+    const auto total = c.allreduce<std::int64_t>(bad, ReduceOp::kSum);
+    if (c.rank() == 0) mismatches = total;
+  });
+  EXPECT_EQ(mismatches, 0);
+}
+
+TEST_P(CollectiveDerive, ExceptionInFnReachesEveryMember) {
+  const DeriveCase dc = GetParam();
+  BspEngine engine(derive_opts(dc));
+  try {
+    engine.run([](Comm& c) {
+      const std::int64_t one = 1;
+      (void)c.allgather_derive(
+          std::span<const std::int64_t>(&one, 1),
+          [](std::span<const std::int64_t>) -> int {
+            throw std::runtime_error("derive fn failed");
+          });
+      c.barrier();  // unreachable: every member rethrows
+    });
+    FAIL() << "expected the fn's exception to surface";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("derive fn failed"),
+              std::string::npos)
+        << "got: " << e.what();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, CollectiveDerive,
+                         ::testing::ValuesIn(derive_cases()),
+                         derive_case_name);
 
 TEST(CostModel, P2pFormula) {
   CostModel m = CostModel::nehalem_qdr();

@@ -301,6 +301,63 @@ TEST(RaceAudit, ObjectGranularAnnotationsCatchCheckpointClobber) {
 }
 
 // ---------------------------------------------------------------------------
+// Objects derived once per collective (Comm::allgather_derive): published
+// inside the rendezvous and read by every member from its pickup on.
+// ---------------------------------------------------------------------------
+
+std::int64_t sum_all(std::span<const std::int64_t> all) {
+  std::int64_t s = 0;
+  for (std::int64_t v : all) s += v;
+  return s;
+}
+
+TEST(RaceAudit, DerivedObjectReadByEveryMemberIsClean) {
+  auto report = analysis::audit_races(opts(4), [&](Comm& c) {
+    c.set_stage("derive");
+    for (int round = 0; round < 3; ++round) {
+      const std::int64_t mine = c.rank() + round;
+      auto total = c.allgather_derive(std::span<const std::int64_t>(&mine, 1),
+                                      sum_all);
+      analysis::note_shared_read(c, *total, "test/derived");
+      EXPECT_EQ(*total, 6 + 4 * round);
+    }
+    c.barrier();
+  });
+  EXPECT_TRUE(report.clean()) << report.str();
+  // One publication plus four pickup reads and four annotated reads per
+  // round.
+  EXPECT_EQ(report.accesses, 3u * 9u);
+}
+
+TEST(RaceAudit, FlagsWriteToDerivedObjectAfterPickup) {
+  auto report = analysis::audit_races(opts(4), [&](Comm& c) {
+    c.set_stage("derive");
+    const std::int64_t mine = c.rank();
+    auto total = c.allgather_derive(std::span<const std::int64_t>(&mine, 1),
+                                    sum_all);
+    if (c.rank() == 1) {
+      c.set_stage("mutate");
+      // Every other member holds the same object: this write races them.
+      analysis::note_shared_write(c, *total, "test/derived");
+    }
+    c.barrier();
+  });
+  ASSERT_FALSE(report.clean());
+  for (const RaceFinding& f : report.races) {
+    const bool prior_is_write = f.prior.is_write;
+    const auto& w = prior_is_write ? f.prior : f.later;
+    const auto& r = prior_is_write ? f.later : f.prior;
+    EXPECT_TRUE(w.is_write);
+    EXPECT_EQ(w.world_rank, 1u);
+    EXPECT_EQ(w.stage, "mutate");
+    EXPECT_FALSE(r.is_write);
+    EXPECT_NE(r.world_rank, 1u);
+    EXPECT_EQ(r.label, "comm/derived");
+  }
+  expect_sites_here(report);
+}
+
+// ---------------------------------------------------------------------------
 // Schedule independence: the happens-before relation is built from the
 // program's rendezvous structure, so the same races surface under any
 // fiber schedule — the whole point of single-run coverage.
