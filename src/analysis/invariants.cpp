@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -406,7 +407,8 @@ Violations validate_embedding(std::span<const geom::Vec2> coords,
   return out;
 }
 
-Violations validate_rank_embedding(const embed::RankEmbedding& emb) {
+Violations validate_rank_embedding(const embed::RankEmbedding& emb,
+                                   const graph::CsrGraph& g) {
   Violations out;
   if (emb.pos.size() != emb.owned.size()) {
     add(out, "owned/pos arrays misaligned");
@@ -432,16 +434,44 @@ Violations validate_rank_embedding(const embed::RankEmbedding& emb) {
       return out;
     }
   }
-  std::unordered_set<VertexId> owned(emb.owned.begin(), emb.owned.end());
-  if (owned.size() != emb.owned.size()) {
-    add(out, "duplicate owned vertex ids");
+  if (std::adjacent_find(emb.owned.begin(), emb.owned.end(),
+                         std::greater_equal<>()) != emb.owned.end()) {
+    add(out, "owned vertex ids not strictly ascending");
+    return out;
   }
   for (VertexId gid : emb.ghost_ids) {
-    if (owned.count(gid)) {
+    if (std::binary_search(emb.owned.begin(), emb.owned.end(), gid)) {
       add(out, "vertex " + std::to_string(gid) + " is both owned and ghost");
       break;
     }
   }
+  // arc_ref: one entry per owned arc in CSR order, each naming the very
+  // neighbour the CSR lists there (an O(1) index check per arc).
+  std::size_t a = 0;
+  for (VertexId v : emb.owned) {
+    if (v >= g.num_vertices()) {
+      add(out, "owned vertex " + std::to_string(v) + " outside the graph");
+      return out;
+    }
+    for (VertexId u : g.neighbors(v)) {
+      if (a >= emb.arc_ref.size()) {
+        add(out, "arc_ref shorter than the owned arcs");
+        return out;
+      }
+      const std::uint32_t r = emb.arc_ref[a];
+      const std::uint32_t idx = r & ~embed::kGhostRef;
+      const bool ghost = (r & embed::kGhostRef) != 0;
+      const std::size_t limit = ghost ? emb.ghost_ids.size() : emb.owned.size();
+      if (idx >= limit || (ghost ? emb.ghost_ids[idx] : emb.owned[idx]) != u) {
+        add(out, "arc_ref[" + std::to_string(a) + "] of vertex " +
+                     std::to_string(v) + " does not name neighbour " +
+                     std::to_string(u));
+        return out;
+      }
+      ++a;
+    }
+  }
+  if (a != emb.arc_ref.size()) add(out, "arc_ref longer than the owned arcs");
   return out;
 }
 

@@ -61,8 +61,10 @@ Violations validate_embedding(std::span<const geom::Vec2> coords,
                               graph::VertexId n);
 
 /// Per-rank embedding sanity: owned/pos and ghost arrays aligned, finite
-/// positions, no owned id duplicated into the ghost set.
-Violations validate_rank_embedding(const embed::RankEmbedding& emb);
+/// positions, owned ids strictly ascending, no owned id duplicated into the
+/// ghost set, and every arc_ref entry naming its CSR neighbour in `g`.
+Violations validate_rank_embedding(const embed::RankEmbedding& emb,
+                                   const graph::CsrGraph& g);
 
 /// Raised by a failed pipeline checkpoint; the message names the
 /// checkpoint and lists every violation.

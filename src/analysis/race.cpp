@@ -207,6 +207,11 @@ void RaceAuditor::on_rendezvous_publish(std::uint64_t group,
   check_and_record_(object, intern_(object), it->second.clock);
 }
 
+void RaceAuditor::on_release(std::uintptr_t addr, std::size_t size) {
+  std::lock_guard<std::mutex> lock(mu_);
+  for (std::uintptr_t b = addr; b < addr + size; ++b) shadow_.erase(b);
+}
+
 RaceReport RaceAuditor::report() const {
   std::lock_guard<std::mutex> lock(mu_);
   RaceReport rep;

@@ -101,6 +101,7 @@ class RaceAuditor final : public comm::RaceSink {
                             std::uint64_t seq) override;
   void on_rendezvous_publish(std::uint64_t group, std::uint64_t seq,
                              const comm::RaceAccess& object) override;
+  void on_release(std::uintptr_t addr, std::size_t size) override;
   void on_rank_killed(std::uint32_t world_rank) override;
   void on_access(const comm::RaceAccess& access) override;
 

@@ -1595,6 +1595,21 @@ RaceAccess derived_access(std::uint32_t world_rank, const void* obj,
 }
 #endif
 
+}  // namespace
+
+void Comm::release_derived_(const void* obj, std::size_t size) {
+#ifdef SP_ANALYSIS
+  if (RaceSink* rs = race_sink()) {
+    // Identity only, never ordering. sp-lint-allow(pointer-order)
+    rs->on_release(reinterpret_cast<std::uintptr_t>(obj), size);
+  }
+#else
+  (void)obj;
+  (void)size;
+#endif
+}
+
+namespace {
 analysis::CollOp to_coll_op(Comm::CollKind kind) {
   switch (kind) {
     case Comm::CollKind::kBarrier:
@@ -2154,45 +2169,65 @@ Comm Comm::split_(std::uint32_t color, std::uint32_t key,
 #ifdef SP_EXEC_PROCESS
   if (engine_->in_child()) return engine_->child_split(*this, color, key, site);
 #endif
-  // Gather (color, key, world rank) triples from the whole group. The
-  // user's split call site is forwarded so divergence reports name it,
-  // not this internal allgather.
+  // Gather (color, key, world rank) triples from the whole group; the
+  // member order of every color is derived once per split (the fold-once
+  // rule of allgather_derive, DESIGN.md §4.3), not filtered and sorted by
+  // each of the P members. The user's split call site is forwarded so
+  // divergence reports name it, not this internal allgather.
   struct Entry {
     std::uint32_t color, key, world_rank;
   };
-  Entry mine{color, key, world_rank_};
-  auto all = from_bytes_<Entry>(
-      collective_(CollKind::kAllGather, as_bytes_(std::span<const Entry>(
-                                            &mine, 1)),
-                  /*root=*/0, nullptr, /*counts=*/nullptr, sizeof(Entry),
-                  site));
-
-  std::vector<Entry> members;
-  for (const Entry& e : all) {
-    if (e.color == color) members.push_back(e);
-  }
-  // Callers mostly pass key = rank, so the members usually arrive in
-  // order already; world ranks are unique, so skipping the sort then
-  // yields the same order.
-  auto by_key = [](const Entry& a, const Entry& b) {
-    return std::make_pair(a.key, a.world_rank) <
-           std::make_pair(b.key, b.world_rank);
+  struct Groups {
+    /// World ranks of every color's members, colors ascending, members
+    /// in (key, world rank) order within a color.
+    std::vector<std::uint32_t> world;
+    /// Per parent group rank: its own slot in `world` and its color's run
+    /// [first, end) there.
+    std::vector<std::uint32_t> slot, first, end;
   };
-  if (!std::is_sorted(members.begin(), members.end(), by_key)) {
-    std::sort(members.begin(), members.end(), by_key);
-  }
+  auto derive = [](std::span<const Entry> all) {
+    const auto n = static_cast<std::uint32_t>(all.size());
+    std::vector<std::uint32_t> order(n);
+    for (std::uint32_t r = 0; r < n; ++r) order[r] = r;
+    auto sort_key = [&](std::uint32_t r) {
+      return std::tie(all[r].color, all[r].key, all[r].world_rank);
+    };
+    std::sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
+      return sort_key(a) < sort_key(b);
+    });
+    Groups out;
+    out.world.resize(n);
+    out.slot.resize(n);
+    out.first.resize(n);
+    out.end.resize(n);
+    for (std::uint32_t b = 0; b < n;) {
+      std::uint32_t e = b;
+      while (e < n && all[order[e]].color == all[order[b]].color) ++e;
+      for (std::uint32_t k = b; k < e; ++k) {
+        out.world[k] = all[order[k]].world_rank;
+        out.slot[order[k]] = k;
+        out.first[order[k]] = b;
+        out.end[order[k]] = e;
+      }
+      b = e;
+    }
+    return out;
+  };
+  const Entry mine{color, key, world_rank_};
+  const auto groups = derive_<Entry>(
+      CollKind::kAllGather, as_bytes_(std::span<const Entry>(&mine, 1)),
+      /*root=*/0, derive, site);
 
   auto group = std::make_shared<detail::GroupInfo>();
   {
     exec::ExecLock guard(engine_->executor());
     group->id = engine_->group_id_for_split(group_->id, seq_, color);
   }
-  group->members.reserve(members.size());
-  std::uint32_t my_index = 0;
-  for (std::uint32_t i = 0; i < members.size(); ++i) {
-    group->members.push_back(members[i].world_rank);
-    if (members[i].world_rank == world_rank_) my_index = i;
-  }
+  group->members.assign(groups->world.begin() + groups->first[group_rank_],
+                        groups->world.begin() + groups->end[group_rank_]);
+  const std::uint32_t my_index =
+      groups->slot[group_rank_] - groups->first[group_rank_];
+  SP_ASSERT(group->members[my_index] == world_rank_);
   return Comm(engine_, std::move(group), my_index, world_rank_);
 }
 

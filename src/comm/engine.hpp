@@ -191,7 +191,7 @@ class Comm {
       -> std::shared_ptr<const std::invoke_result_t<Fn&, std::span<const T>>> {
     static_assert(std::is_trivially_copyable_v<T>);
     return derive_<T>(CollKind::kAllGather, as_bytes_(values), /*root=*/0, fn,
-                      loc);
+                      analysis::CallSite::from(loc));
   }
 
   /// broadcast_vec with the same fold-once rule as allgather_derive: fn
@@ -205,7 +205,8 @@ class Comm {
     static_assert(std::is_trivially_copyable_v<T>);
     std::span<const T> mine =
         rank() == root ? values : std::span<const T>{};
-    return derive_<T>(CollKind::kBroadcast, as_bytes_(mine), root, fn, loc);
+    return derive_<T>(CollKind::kBroadcast, as_bytes_(mine), root, fn,
+                      analysis::CallSite::from(loc));
   }
 
   /// Root receives the concatenation; others receive empty.
@@ -388,7 +389,7 @@ class Comm {
 
   template <typename T, typename Fn>
   auto derive_(CollKind kind, std::vector<std::byte> payload,
-               std::uint32_t root, Fn& fn, const std::source_location& loc)
+               std::uint32_t root, Fn& fn, const analysis::CallSite& site)
       -> std::shared_ptr<const std::invoke_result_t<Fn&, std::span<const T>>> {
     using R = std::invoke_result_t<Fn&, std::span<const T>>;
     Derivation d;
@@ -397,10 +398,14 @@ class Comm {
         -> std::shared_ptr<const void> {
       // One typed copy per fold, not per member.
       const std::vector<T> values = from_bytes_<T>(bytes);
-      return std::make_shared<const R>(fn(std::span<const T>(values)));
+      return std::shared_ptr<const R>(
+          new R(fn(std::span<const T>(values))), [](const R* obj) {
+            release_derived_(obj, sizeof(R));
+            delete obj;
+          });
     };
     collective_(kind, std::move(payload), root, nullptr, /*counts=*/nullptr,
-                sizeof(T), analysis::CallSite::from(loc), &d);
+                sizeof(T), site, &d);
     return std::static_pointer_cast<const R>(std::move(d.out));
   }
 
@@ -429,6 +434,10 @@ class Comm {
 
   /// Releases a buffer into this rank's arena.
   void recycle_(std::vector<std::byte>&& data);
+
+  /// Tells the race auditor that a derived object is being freed (defined
+  /// in engine.cpp; a no-op without SP_ANALYSIS).
+  static void release_derived_(const void* obj, std::size_t size);
 
   template <typename T>
   static std::vector<std::byte> as_bytes_(std::span<const T> values) {

@@ -22,7 +22,8 @@
 // shrink emits the same pair keyed by the engine's failure count. An
 // object derived once for a whole collective (allgather_derive) is
 // published inside its rendezvous and read by every member at pickup, so
-// a member that later writes to it races every other holder. Rank
+// a member that later writes to it races every other holder; its release
+// clears its bytes, whose address a later object may reuse. Rank
 // spawn is on_run_begin (all ranks fork from the host with fresh
 // clocks); a fault-plan or detector kill emits on_rank_killed, whose
 // clock orders the victim's history before everything that
@@ -89,6 +90,12 @@ class RaceSink {
   /// it through on_access. Emitted under the engine lock.
   virtual void on_rendezvous_publish(std::uint64_t group, std::uint64_t seq,
                                      const RaceAccess& object) = 0;
+
+  /// The derived object at [addr, addr + size) is about to be freed by
+  /// its last holder. Its memory may next hold an unrelated object, whose
+  /// accesses must not be checked against this one's. Emitted from the
+  /// releasing rank's context, possibly with no engine lock held.
+  virtual void on_release(std::uintptr_t addr, std::size_t size) = 0;
 
   /// `world_rank` was killed (fault plan or failure detector). Its final
   /// clock orders the victim's past before every rendezvous completed

@@ -1,5 +1,4 @@
 #include "core/scalapart.hpp"
-#include <unordered_map>
 
 #include <algorithm>
 #include <filesystem>
@@ -58,30 +57,6 @@ embed::RankEmbedding embedding_from_coords(comm::Comm& world,
     emb.owned[i] = view.to_global(i);
     emb.pos[i] = coords[view.to_global(i)];
   }
-  struct CoordMsg {
-    VertexId id;
-    double x, y;
-  };
-  // Send my boundary coords to each neighbouring rank that ghosts them.
-  const auto& nbr_ranks = view.neighbor_ranks();
-  std::vector<std::pair<std::uint32_t, std::vector<CoordMsg>>> out;
-  for (std::uint32_t r : nbr_ranks) {
-    std::vector<CoordMsg> payload;
-    for (VertexId local : view.boundary_locals()) {
-      VertexId global = view.to_global(local);
-      bool adj = false;
-      for (VertexId u : view.neighbors(local)) {
-        if (!view.owns(u) &&
-            graph::block_owner(u, n, world.nranks()) == r) {
-          adj = true;
-          break;
-        }
-      }
-      if (adj) payload.push_back({global, coords[global][0], coords[global][1]});
-    }
-    if (!payload.empty()) out.emplace_back(r, std::move(payload));
-  }
-  auto in = world.exchange_typed(out);
   emb.ghost_ids = view.ghosts();
   emb.ghost_pos.assign(emb.ghost_ids.size(), geom::Vec2{});
   emb.ghost_owner.resize(emb.ghost_ids.size());
@@ -89,19 +64,38 @@ embed::RankEmbedding embedding_from_coords(comm::Comm& world,
     emb.ghost_owner[i] = graph::block_owner(emb.ghost_ids[i], n,
                                             world.nranks());
   }
-  std::unordered_map<VertexId, std::uint32_t> ghost_of;
-  for (std::uint32_t i = 0; i < emb.ghost_ids.size(); ++i) {
-    ghost_of[emb.ghost_ids[i]] = i;
-  }
-  for (const auto& [src, payload] : in) {
-    (void)src;
-    for (const CoordMsg& msg : payload) {
-      auto it = ghost_of.find(msg.id);
-      if (it != ghost_of.end()) {
-        emb.ghost_pos[it->second] = geom::vec2(msg.x, msg.y);
+  // Owned ids are one contiguous block and the ghosts are sorted, so each
+  // arc resolves by offset or by binary search.
+  for (VertexId i = 0; i < view.num_local(); ++i) {
+    for (VertexId u : view.neighbors(i)) {
+      if (view.owns(u)) {
+        emb.arc_ref.push_back(view.to_local(u));
+      } else {
+        auto it = std::lower_bound(emb.ghost_ids.begin(), emb.ghost_ids.end(), u);
+        emb.arc_ref.push_back(
+            embed::kGhostRef |
+            static_cast<std::uint32_t>(it - emb.ghost_ids.begin()));
       }
     }
   }
+  // Send my boundary coords to each neighbouring rank that ghosts them.
+  struct CoordMsg {
+    VertexId id;
+    double x, y;
+  };
+  std::vector<std::pair<std::uint32_t, std::vector<CoordMsg>>> out;
+  for (const auto& [dest, idx] :
+       embed::halo_send_plan(g, emb.owned, emb.arc_ref, emb.ghost_owner)) {
+    out.push_back({dest, {}});
+    for (std::uint32_t i : idx) {
+      out.back().second.push_back({emb.owned[i], emb.pos[i][0], emb.pos[i][1]});
+    }
+  }
+  embed::apply_halo(world.exchange_typed(out),
+                    embed::halo_recv_plan(emb.ghost_ids, emb.ghost_owner),
+                    emb.ghost_ids, [&](std::uint32_t j, const CoordMsg& msg) {
+                      emb.ghost_pos[j] = geom::vec2(msg.x, msg.y);
+                    });
   return emb;
 }
 
@@ -387,7 +381,7 @@ ScalaPartResult scalapart_run(const CsrGraph& g, const ScalaPartOptions& opt,
         // finiteness, owned/ghost disjointness) before partitioning
         // consumes it.
         SP_ANALYSIS_CHECK("embed/rank_embedding",
-                          analysis::validate_rank_embedding(emb));
+                          analysis::validate_rank_embedding(emb, g));
 
         // ---- Parallel geometric partitioning + strip refinement. ----
         world.set_stage(obs::stages::kPartition);
@@ -407,7 +401,7 @@ ScalaPartResult scalapart_run(const CsrGraph& g, const ScalaPartOptions& opt,
           obs::Span stage_span(world, obs::stages::kOutput, "stage");
           auto gathered = embed::gather_embedding(world, emb, n);
           if (world.rank() == 0) {
-            analysis::shared_assign_vec(world, coords, std::move(gathered),
+            analysis::shared_assign_vec(world, coords, *gathered,
                                         "core/coords");
             analysis::shared_store(world, cut, gmt.cut, "core/cut");
             analysis::shared_store(world, strip_size, gmt.strip_size,

@@ -5,7 +5,6 @@
 #include <memory>
 #include <optional>
 #include <source_location>
-#include <unordered_map>
 
 #include "geometry/balanced_grid.hpp"
 #include "geometry/quadtree.hpp"
@@ -85,9 +84,6 @@ struct CoordMsg {
   double x, y;
 };
 
-/// (dest rank, local indices of the owned vertices it needs).
-using SendPlan =
-    std::vector<std::pair<std::uint32_t, std::vector<std::uint32_t>>>;
 /// (peer rank, coordinates) packets of one ghost superstep.
 using CoordPackets =
     std::vector<std::pair<std::uint32_t, std::vector<CoordMsg>>>;
@@ -95,7 +91,7 @@ using CoordPackets =
 /// Fills one packet per destination of `plan` with `coord_of(i)` for each
 /// listed owned index; `out` keeps its buffers across calls.
 template <typename CoordOf>
-void pack_coords(const SendPlan& plan, const std::vector<VertexId>& owned,
+void pack_coords(const PeerPlan& plan, const std::vector<VertexId>& owned,
                  CoordOf&& coord_of, CoordPackets& out) {
   out.resize(plan.size());
   for (std::size_t k = 0; k < plan.size(); ++k) {
@@ -107,28 +103,6 @@ void pack_coords(const SendPlan& plan, const std::vector<VertexId>& owned,
       payload.push_back({owned[i], c[0], c[1]});
     }
   }
-}
-
-/// One ghost-coordinate superstep: sends `out` (counted in the
-/// embed/ghost_* metrics), hands every received message to `apply` and
-/// returns how many arrived.
-template <typename Apply>
-std::size_t exchange_coords(
-    comm::Comm& sub, const CoordPackets& out, Apply&& apply,
-    std::source_location loc = std::source_location::current()) {
-  if (obs::active()) {
-    std::size_t sent = 0;
-    for (const auto& packet : out) sent += packet.second.size();
-    obs::count(sub, "embed/ghost_msgs", static_cast<double>(out.size()));
-    obs::count(sub, "embed/ghost_bytes",
-               static_cast<double>(sent * sizeof(CoordMsg)));
-  }
-  std::size_t received = 0;
-  for (const auto& packet : sub.exchange_typed(out, loc)) {
-    received += packet.second.size();
-    for (const CoordMsg& msg : packet.second) apply(msg);
-  }
-  return received;
 }
 
 /// Deterministic per-vertex uniform in [0,1): identical on every rank, so
@@ -155,23 +129,45 @@ struct LevelLocal {
   std::shared_ptr<const geom::BalancedGrid> grid;
   std::vector<VertexId> owned;     // sorted global ids
   std::vector<Vec2> pos;           // aligned with owned
-  std::unordered_map<VertexId, std::uint32_t> local_idx;
 
-  std::vector<VertexId> ghost_ids;
+  std::vector<VertexId> ghost_ids;  // first-encounter order
   std::vector<Vec2> ghost_pos;
   std::vector<std::uint32_t> ghost_owner;
-  std::unordered_map<VertexId, std::uint32_t> ghost_idx;
+  /// Owned arcs resolved once (RankEmbedding::arc_ref).
+  std::vector<std::uint32_t> arc_ref;
 
   /// Near-neighbour send plan: (dest rank, local indices of owned
   /// boundary vertices that rank ghosts). Refreshed every iteration.
-  SendPlan near_sends;
+  PeerPlan near_sends;
   /// Same structure for ranks beyond the 8-neighbourhood; refreshed only
   /// once per stale block. (The paper uses an allgather here; targeted
   /// messages carry the same information with volume proportional to the
   /// far-spanning edges instead of P times that, which matters at reduced
   /// graph scale where cells are tiny and many edges span far cells.)
-  SendPlan far_sends;
+  PeerPlan far_sends;
+  /// Ghost indices by owning rank, in the order its packets list them.
+  PeerPlan recv;
 };
+
+/// One ghost-coordinate superstep: sends `out` (counted in the
+/// embed/ghost_* metrics), hands every received message to
+/// `apply(ghost index, msg)` by position (apply_halo) and returns how many
+/// arrived.
+template <typename Apply>
+std::size_t exchange_coords(
+    comm::Comm& sub, const CoordPackets& out, const LevelLocal& local,
+    Apply&& apply,
+    std::source_location loc = std::source_location::current()) {
+  if (obs::active()) {
+    std::size_t sent = 0;
+    for (const auto& packet : out) sent += packet.second.size();
+    obs::count(sub, "embed/ghost_msgs", static_cast<double>(out.size()));
+    obs::count(sub, "embed/ghost_bytes",
+               static_cast<double>(sent * sizeof(CoordMsg)));
+  }
+  return apply_halo(sub.exchange_typed(out, loc), local.recv, local.ghost_ids,
+                    apply);
+}
 
 std::uint32_t grid_row(std::uint32_t rank, std::uint32_t cols) {
   return rank / cols;
@@ -189,58 +185,51 @@ bool grid_near(std::uint32_t a, std::uint32_t b, std::uint32_t cols) {
 }
 
 /// After `owned`/`pos` and the level owner directory are final, derive
-/// ghost lists and the send plans from the shared graph topology.
-/// `owner[u]` is a vertex's owning rank: one bulk snapshot of the shared
-/// directory, or a rank-local map at the coarsest level, where every
-/// rank derives the full map itself.
+/// the ghost list, every arc's reference and the send and receive plans
+/// from the shared graph topology. `owner[u]` is a vertex's owning rank:
+/// one bulk snapshot of the shared directory, or a rank-local map at the
+/// coarsest level, where every rank derives the full map itself.
 void build_halo(LevelLocal& local, const CsrGraph& g,
-                const std::vector<std::uint32_t>& owner, comm::Comm& sub) {
+                std::vector<std::uint32_t> owner, comm::Comm& sub) {
   const std::uint32_t my_rank = sub.rank();
-  local.local_idx.clear();
-  local.local_idx.reserve(local.owned.size());
+  // The snapshot doubles as the level's dense index: the entry of an owned
+  // vertex becomes kOwnedRef | its owned index, a ghost's entry becomes
+  // kGhostRef | its ghost index at the first arc that reaches it. Every
+  // other entry is a rank below pl, with neither tag bit set.
+  constexpr std::uint32_t kOwnedRef = 0x40000000u;
+  SP_ASSERT(sub.nranks() <= kOwnedRef);
   for (std::uint32_t i = 0; i < local.owned.size(); ++i) {
-    local.local_idx[local.owned[i]] = i;
+    SP_ASSERT(owner[local.owned[i]] == my_rank);
+    owner[local.owned[i]] = kOwnedRef | i;
   }
   local.ghost_ids.clear();
   local.ghost_owner.clear();
-  local.ghost_idx.clear();
+  local.arc_ref.clear();
   local.near_sends.clear();
   local.far_sends.clear();
 
-  // (dest, owned index) pairs. Sorted and deduplicated they give every
-  // destination its ascending send list, destinations in ascending order,
-  // at a cost that grows with the peers this rank talks to, not with pl.
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> sends;
   double work = 0;
-
-  for (std::uint32_t i = 0; i < local.owned.size(); ++i) {
-    VertexId v = local.owned[i];
+  for (VertexId v : local.owned) {
     auto nbrs = g.neighbors(v);
     work += static_cast<double>(nbrs.size());
-    std::uint32_t last_dest = my_rank;  // cheap consecutive-dup filter
     for (VertexId u : nbrs) {
-      std::uint32_t o = owner[u];
-      if (o == my_rank) continue;
-      if (local.ghost_idx.find(u) == local.ghost_idx.end()) {
-        local.ghost_idx[u] = static_cast<std::uint32_t>(local.ghost_ids.size());
+      std::uint32_t& ref = owner[u];
+      if ((ref & (kOwnedRef | kGhostRef)) == 0) {
+        SP_ASSERT_MSG(ref != my_rank, "owner directory names an unowned vertex");
+        local.ghost_owner.push_back(ref);
+        ref = kGhostRef | static_cast<std::uint32_t>(local.ghost_ids.size());
         local.ghost_ids.push_back(u);
-        local.ghost_owner.push_back(o);
       }
-      if (o != last_dest) {
-        // Record that rank o needs v; dedup fully below.
-        sends.emplace_back(o, i);
-        last_dest = o;
-      }
+      local.arc_ref.push_back(ref & ~kOwnedRef);
     }
   }
-  std::sort(sends.begin(), sends.end());
-  sends.erase(std::unique(sends.begin(), sends.end()), sends.end());
-  for (const auto& [dest, i] : sends) {
-    auto& plan = grid_near(my_rank, dest, local.cols) ? local.near_sends
-                                                      : local.far_sends;
-    if (plan.empty() || plan.back().first != dest) plan.push_back({dest, {}});
-    plan.back().second.push_back(i);
+  for (auto& entry : halo_send_plan(g, local.owned, local.arc_ref,
+                                    local.ghost_owner)) {
+    (grid_near(my_rank, entry.first, local.cols) ? local.near_sends
+                                                 : local.far_sends)
+        .push_back(std::move(entry));
   }
+  local.recv = halo_recv_plan(local.ghost_ids, local.ghost_owner);
   local.ghost_pos.assign(local.ghost_ids.size(), Vec2{});
   sub.add_compute(work + static_cast<double>(local.owned.size()));
 }
@@ -256,11 +245,8 @@ void refresh_all_ghosts(comm::Comm& sub, LevelLocal& local) {
   pack_coords(local.far_sends, local.owned, pos_of, far);
   out.insert(out.end(), std::make_move_iterator(far.begin()),
              std::make_move_iterator(far.end()));
-  exchange_coords(sub, out, [&](const CoordMsg& msg) {
-    auto it = local.ghost_idx.find(msg.id);
-    if (it != local.ghost_idx.end()) {
-      local.ghost_pos[it->second] = geom::vec2(msg.x, msg.y);
-    }
+  exchange_coords(sub, out, local, [&](std::uint32_t j, const CoordMsg& msg) {
+    local.ghost_pos[j] = geom::vec2(msg.x, msg.y);
   });
 }
 
@@ -268,7 +254,7 @@ void refresh_all_ghosts(comm::Comm& sub, LevelLocal& local) {
 ///
 /// Hot-loop layout: coordinates are kept in structure-of-arrays form
 /// (px/py for owned vertices, gx/gy for ghosts) and the adjacency is
-/// pre-resolved into index references, so the force loop is a branch-light
+/// pre-resolved into index references (build_halo's arc_ref), so the force loop is a branch-light
 /// gather over flat double arrays followed by a separate accumulate pass.
 /// Ghost coordinates are clamped into the L1-nearest neighbouring
 /// sub-domain once per *update* instead of once per edge read —
@@ -343,47 +329,28 @@ void smooth_level(comm::Comm& sub, LevelLocal& local, const CsrGraph& g,
     gy[j] = c[1];
   }
 
-  // Adjacency resolved once per level: each slot names an owned index or
-  // (tagged) a ghost index, with the edge weight widened alongside.
-  constexpr std::uint32_t kGhostBit = 0x80000000u;
+  // Adjacency: build_halo's arc_ref names each arc's owned or (tagged)
+  // ghost index; the edge weights are widened alongside.
+  const std::vector<std::uint32_t>& nbr_ref = local.arc_ref;
   std::vector<std::uint32_t> nbr_off(owned_n + 1, 0);
-  for (std::uint32_t i = 0; i < owned_n; ++i) {
-    nbr_off[i + 1] =
-        nbr_off[i] + static_cast<std::uint32_t>(g.neighbors(local.owned[i]).size());
-  }
-  std::vector<std::uint32_t> nbr_ref(nbr_off[owned_n]);
-  std::vector<double> nbr_w(nbr_off[owned_n]);
+  std::vector<double> nbr_w;
+  nbr_w.reserve(nbr_ref.size());
   std::uint32_t max_deg = 0;
   for (std::uint32_t i = 0; i < owned_n; ++i) {
-    auto nbrs = g.neighbors(local.owned[i]);
     auto ws = g.edge_weights_of(local.owned[i]);
-    max_deg = std::max(max_deg, static_cast<std::uint32_t>(nbrs.size()));
-    for (std::size_t k = 0; k < nbrs.size(); ++k) {
-      VertexId u = nbrs[k];
-      std::uint32_t ref;
-      auto it_own = local.local_idx.find(u);
-      if (it_own != local.local_idx.end()) {
-        ref = it_own->second;
-      } else {
-        auto it_g = local.ghost_idx.find(u);
-        SP_ASSERT(it_g != local.ghost_idx.end());
-        ref = it_g->second | kGhostBit;
-      }
-      nbr_ref[nbr_off[i] + k] = ref;
-      nbr_w[nbr_off[i] + k] = static_cast<double>(ws[k]);
-    }
+    max_deg = std::max(max_deg, static_cast<std::uint32_t>(ws.size()));
+    nbr_off[i + 1] = nbr_off[i] + static_cast<std::uint32_t>(ws.size());
+    for (graph::Weight w : ws) nbr_w.push_back(static_cast<double>(w));
   }
+  SP_ASSERT(nbr_off[owned_n] == nbr_ref.size());
   std::vector<double> ux(max_deg), uy(max_deg);  // gather scratch
 
   // A ghost update stores the exact position and the clamped SoA mirror.
-  auto apply_ghost = [&](const CoordMsg& msg) {
-    auto it_g = local.ghost_idx.find(msg.id);
-    if (it_g == local.ghost_idx.end()) return;
-    local.ghost_pos[it_g->second] = geom::vec2(msg.x, msg.y);
-    Vec2 c = lattice.clamp_to_neighbor(my_row, my_col,
-                                       local.ghost_pos[it_g->second]);
-    gx[it_g->second] = c[0];
-    gy[it_g->second] = c[1];
+  auto apply_ghost = [&](std::uint32_t j, const CoordMsg& msg) {
+    local.ghost_pos[j] = geom::vec2(msg.x, msg.y);
+    Vec2 c = lattice.clamp_to_neighbor(my_row, my_col, local.ghost_pos[j]);
+    gx[j] = c[0];
+    gy[j] = c[1];
   };
 
   // Outgoing payload buffers persist across iterations (steady-state
@@ -447,14 +414,15 @@ void smooth_level(comm::Comm& sub, LevelLocal& local, const CsrGraph& g,
       }
       // Far-spanning edge endpoints: one targeted exchange per block.
       pack_coords(local.far_sends, local.owned, current, far_out);
-      const std::size_t far_in = exchange_coords(sub, far_out, apply_ghost);
+      const std::size_t far_in =
+          exchange_coords(sub, far_out, local, apply_ghost);
       sub.add_compute(static_cast<double>(far_in) +
                       static_cast<double>(local.pl));
     }
 
     // Nearest-neighbour boundary exchange (every iteration).
     pack_coords(local.near_sends, local.owned, current, near_out);
-    exchange_coords(sub, near_out, apply_ghost);
+    exchange_coords(sub, near_out, local, apply_ghost);
 
     // The inherited repulsion is charged every iteration, as if it were
     // recomputed here; its inputs change only at a refresh.
@@ -506,8 +474,8 @@ void smooth_level(comm::Comm& sub, LevelLocal& local, const CsrGraph& g,
       // rule) into dense scratch.
       for (std::uint32_t k = 0; k < deg; ++k) {
         std::uint32_t r = nbr_ref[begin + k];
-        if ((r & kGhostBit) != 0) {
-          r &= ~kGhostBit;
+        if ((r & kGhostRef) != 0) {
+          r &= ~kGhostRef;
           ux[k] = gx[r];
           uy[k] = gy[r];
         } else {
@@ -819,7 +787,7 @@ RankEmbedding lattice_embed(comm::Comm& world, EmbedWorkspace& workspace,
         }
         sub.add_compute(static_cast<double>(g.num_vertices()));
         local = std::move(init);
-        build_halo(local, g, coarse_owner, sub);
+        build_halo(local, g, std::move(coarse_owner), sub);
         smooth_level(sub, local, g, opt, opt.coarsest_iterations,
                      /*initial_step_factor=*/2.0, /*final_step_fraction=*/1e-3);
       } else {
@@ -952,6 +920,7 @@ RankEmbedding lattice_embed(comm::Comm& world, EmbedWorkspace& workspace,
     result.ghost_ids = std::move(local.ghost_ids);
     result.ghost_pos = std::move(local.ghost_pos);
     result.ghost_owner = std::move(local.ghost_owner);
+    result.arc_ref = std::move(local.arc_ref);
     auto [rows, cols] = grid_shape(p_at(0));
     result.grid_rows = rows;
     result.grid_cols = cols;
@@ -960,20 +929,72 @@ RankEmbedding lattice_embed(comm::Comm& world, EmbedWorkspace& workspace,
   return result;
 }
 
-std::vector<Vec2> gather_embedding(comm::Comm& world, const RankEmbedding& mine,
-                                   VertexId n) {
+PeerPlan halo_send_plan(const CsrGraph& g, std::span<const VertexId> owned,
+                        std::span<const std::uint32_t> arc_ref,
+                        std::span<const std::uint32_t> ghost_owner) {
+  // (dest, owned index) pairs. Sorted and deduplicated they give every
+  // destination its ascending send list, destinations in ascending order,
+  // at a cost that grows with the peers this rank talks to, not with pl.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> sends;
+  std::size_t a = 0;
+  for (std::uint32_t i = 0; i < owned.size(); ++i) {
+    const std::size_t end = a + g.degree(owned[i]);
+    std::uint32_t last_dest = ~0u;  // cheap consecutive-dup filter
+    for (; a < end; ++a) {
+      if ((arc_ref[a] & kGhostRef) == 0) continue;
+      const std::uint32_t dest = ghost_owner[arc_ref[a] & ~kGhostRef];
+      if (dest != last_dest) {
+        sends.emplace_back(dest, i);
+        last_dest = dest;
+      }
+    }
+  }
+  SP_ASSERT(a == arc_ref.size());
+  std::sort(sends.begin(), sends.end());
+  sends.erase(std::unique(sends.begin(), sends.end()), sends.end());
+  PeerPlan plan;
+  for (const auto& [dest, i] : sends) {
+    if (plan.empty() || plan.back().first != dest) plan.push_back({dest, {}});
+    plan.back().second.push_back(i);
+  }
+  return plan;
+}
+
+PeerPlan halo_recv_plan(std::span<const VertexId> ghost_ids,
+                        std::span<const std::uint32_t> ghost_owner) {
+  // ((owner, id), ghost index), sorted.
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> keyed;
+  keyed.reserve(ghost_ids.size());
+  for (std::uint32_t j = 0; j < ghost_ids.size(); ++j) {
+    keyed.emplace_back(
+        (static_cast<std::uint64_t>(ghost_owner[j]) << 32) | ghost_ids[j], j);
+  }
+  std::sort(keyed.begin(), keyed.end());
+  PeerPlan recv;
+  for (const auto& [key, j] : keyed) {
+    const auto peer = static_cast<std::uint32_t>(key >> 32);
+    if (recv.empty() || recv.back().first != peer) recv.push_back({peer, {}});
+    recv.back().second.push_back(j);
+  }
+  return recv;
+}
+
+std::shared_ptr<const std::vector<Vec2>> gather_embedding(
+    comm::Comm& world, const RankEmbedding& mine, VertexId n) {
   std::vector<CoordMsg> out;
   out.reserve(mine.owned.size());
   for (std::size_t i = 0; i < mine.owned.size(); ++i) {
     out.push_back({mine.owned[i], mine.pos[i][0], mine.pos[i][1]});
   }
-  auto all = world.allgatherv(std::span<const CoordMsg>(out));
-  std::vector<Vec2> coords(n, Vec2{});
-  for (const CoordMsg& msg : all) {
-    SP_ASSERT(msg.id < n);
-    coords[msg.id] = geom::vec2(msg.x, msg.y);
-  }
-  return coords;
+  return world.allgather_derive(
+      std::span<const CoordMsg>(out), [n](std::span<const CoordMsg> all) {
+        std::vector<Vec2> coords(n, Vec2{});
+        for (const CoordMsg& msg : all) {
+          SP_ASSERT(msg.id < n);
+          coords[msg.id] = geom::vec2(msg.x, msg.y);
+        }
+        return coords;
+      });
 }
 
 }  // namespace sp::embed

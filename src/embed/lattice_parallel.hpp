@@ -35,6 +35,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -44,6 +45,7 @@
 #include "geometry/box.hpp"
 #include "geometry/vec.hpp"
 #include "graph/csr_graph.hpp"
+#include "support/assert.hpp"
 
 namespace sp::embed {
 
@@ -99,9 +101,12 @@ class EmbedWorkspace {
   std::vector<std::string> owner_labels_;  // "embed/owner.L<level>"
 };
 
+/// Tag of an arc_ref entry that names a ghost index, not an owned one.
+inline constexpr std::uint32_t kGhostRef = 0x80000000u;
+
 /// This rank's slice of the finest-level embedding.
 struct RankEmbedding {
-  std::vector<graph::VertexId> owned;  // global vertex ids, level 0
+  std::vector<graph::VertexId> owned;  // global vertex ids, level 0, sorted
   std::vector<geom::Vec2> pos;         // aligned with owned
   /// Halo: neighbour vertices owned elsewhere, with their exact final
   /// positions (refreshed once after the last smoothing iteration so the
@@ -109,10 +114,61 @@ struct RankEmbedding {
   std::vector<graph::VertexId> ghost_ids;
   std::vector<geom::Vec2> ghost_pos;
   std::vector<std::uint32_t> ghost_owner;  // owning rank per ghost
+  /// Every owned arc resolved once, where the halo is built: one entry per
+  /// arc of owned[0], owned[1], ... in CSR order, naming the neighbour's
+  /// owned index or its ghost index | kGhostRef.
+  std::vector<std::uint32_t> arc_ref;
   std::uint32_t grid_rows = 1;
   std::uint32_t grid_cols = 1;
   geom::Box box;
 };
+
+/// (peer rank, indices) lists in ascending peer order. On the send side a
+/// peer's list holds the owned indices it ghosts, on the receive side the
+/// ghost indices it owns; either way the list ascends by vertex id.
+using PeerPlan =
+    std::vector<std::pair<std::uint32_t, std::vector<std::uint32_t>>>;
+
+/// Send side of a halo: every rank that ghosts one of `owned` (sorted),
+/// with the owned indices it ghosts. Reads the ghost arcs of `arc_ref`.
+PeerPlan halo_send_plan(const graph::CsrGraph& g,
+                        std::span<const graph::VertexId> owned,
+                        std::span<const std::uint32_t> arc_ref,
+                        std::span<const std::uint32_t> ghost_owner);
+
+/// Receive side: ghost indices by owning rank, ascending id within a rank.
+/// That is the order of the peer's packet in a halo exchange: the peer
+/// sends the vertices of its sorted owned list that are adjacent to this
+/// rank's vertices, which, the graph being symmetric, are exactly this
+/// rank's ghosts that it owns.
+PeerPlan halo_recv_plan(std::span<const graph::VertexId> ghost_ids,
+                        std::span<const std::uint32_t> ghost_owner);
+
+/// Applies a halo exchange's received packets by position: message k of
+/// peer p's packet is handed to `apply(recv[p][k], msg)` after a check that
+/// it names that ghost. A peer whose packet did not arrive (a dropped
+/// message) is skipped. Returns the number of messages applied.
+template <typename Msg, typename Apply>
+std::size_t apply_halo(
+    const std::vector<std::pair<std::uint32_t, std::vector<Msg>>>& in,
+    const PeerPlan& recv, std::span<const graph::VertexId> ghost_ids,
+    Apply&& apply) {
+  std::size_t applied = 0;
+  auto from = recv.begin();
+  for (const auto& [src, payload] : in) {
+    while (from != recv.end() && from->first < src) ++from;
+    SP_ASSERT_MSG(from != recv.end() && from->first == src &&
+                      from->second.size() == payload.size(),
+                  "halo packet does not match the receive plan");
+    for (std::size_t k = 0; k < payload.size(); ++k) {
+      const std::uint32_t slot = from->second[k];
+      SP_ASSERT(payload[k].id == ghost_ids[slot]);
+      apply(slot, payload[k]);
+    }
+    applied += payload.size();
+  }
+  return applied;
+}
 
 /// Level-boundary checkpoint of the embedding (fault tolerance). After a
 /// level's smoothing completes, the full coordinate array of that level
@@ -153,12 +209,12 @@ RankEmbedding lattice_embed(comm::Comm& world, EmbedWorkspace& workspace,
                             const LatticeEmbedOptions& opt,
                             EmbedCheckpoint* checkpoint = nullptr);
 
-/// Gathers a full coordinate array onto every rank (one allgatherv; used
-/// by tests and by callers that need the embedding itself rather than the
-/// partition).
-std::vector<geom::Vec2> gather_embedding(comm::Comm& world,
-                                         const RankEmbedding& mine,
-                                         graph::VertexId n);
+/// The full coordinate array, by vertex id, from one allgather (used by
+/// tests and by callers that need the embedding itself rather than the
+/// partition). Every rank gets a pointer to the same array: it is built
+/// once per collective (allgather_derive), not once per rank.
+std::shared_ptr<const std::vector<geom::Vec2>> gather_embedding(
+    comm::Comm& world, const RankEmbedding& mine, graph::VertexId n);
 
 /// Grid shape used for P ranks: rows = 2^floor(log2(P)/2), cols = P/rows.
 std::pair<std::uint32_t, std::uint32_t> grid_shape(std::uint32_t p);

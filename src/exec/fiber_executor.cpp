@@ -31,6 +31,22 @@
 #include <sanitizer/tsan_interface.h>
 #endif
 
+// AddressSanitizer needs the same teaching: without it, a throw on a fiber
+// stack (__asan_handle_no_return) sees a stack pointer outside the
+// thread's known stack and reports a false overflow. Each switch is
+// bracketed by __sanitizer_start_switch_fiber (naming the stack about to
+// run) and __sanitizer_finish_switch_fiber (on arrival).
+#if defined(__SANITIZE_ADDRESS__)
+#define SP_EXEC_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define SP_EXEC_ASAN 1
+#endif
+#endif
+#ifdef SP_EXEC_ASAN
+#include <sanitizer/common_interface_defs.h>
+#endif
+
 namespace sp::exec::detail {
 
 namespace {
@@ -151,7 +167,15 @@ class FiberExecutor final : public Executor {
 #ifdef SP_EXEC_TSAN
     __tsan_switch_to_fiber(fibers_[r].tsan_fiber, 0);
 #endif
+#ifdef SP_EXEC_ASAN
+    void* fake_stack = nullptr;
+    __sanitizer_start_switch_fiber(&fake_stack, fibers_[r].stack.get(),
+                                   opt_.stack_bytes);
+#endif
     const int swap_rc = swapcontext(&scheduler_ctx_, &fibers_[r].ctx);
+#ifdef SP_EXEC_ASAN
+    __sanitizer_finish_switch_fiber(fake_stack, nullptr, nullptr);
+#endif
     SP_ASSERT(swap_rc == 0);
   }
 
@@ -159,17 +183,36 @@ class FiberExecutor final : public Executor {
 #ifdef SP_EXEC_TSAN
     __tsan_switch_to_fiber(scheduler_tsan_, 0);
 #endif
+#ifdef SP_EXEC_ASAN
+    void* fake_stack = nullptr;
+    __sanitizer_start_switch_fiber(&fake_stack, scheduler_stack_,
+                                   scheduler_stack_bytes_);
+#endif
     const int swap_rc = swapcontext(&fibers_[r].ctx, &scheduler_ctx_);
+#ifdef SP_EXEC_ASAN
+    __sanitizer_finish_switch_fiber(fake_stack, nullptr, nullptr);
+#endif
     SP_ASSERT(swap_rc == 0);
     current_exec_ = this;  // restored for safety after resume
   }
 
   static void trampoline_() {
     FiberExecutor* exec = current_exec_;
+#ifdef SP_EXEC_ASAN
+    // First arrival on this stack: no fake stack to restore; learn the
+    // scheduler's stack, the one every later switch-back names.
+    __sanitizer_finish_switch_fiber(nullptr, &exec->scheduler_stack_,
+                                    &exec->scheduler_stack_bytes_);
+#endif
     const std::uint32_t rank = exec->current_rank_;
     // The engine's rank wrapper catches everything; nothing escapes here.
     (*exec->body_)(rank);
     exec->finished_[rank] = true;
+#ifdef SP_EXEC_ASAN
+    // Leaving for good: a null save slot frees this fiber's fake stack.
+    __sanitizer_start_switch_fiber(nullptr, exec->scheduler_stack_,
+                                   exec->scheduler_stack_bytes_);
+#endif
 #ifdef SP_EXEC_TSAN
     // Leave via explicit setcontext, not the uc_link return: the compiler
     // plants __tsan_func_exit at the return, and after the switch
@@ -187,6 +230,10 @@ class FiberExecutor final : public Executor {
   ucontext_t scheduler_ctx_{};
 #ifdef SP_EXEC_TSAN
   void* scheduler_tsan_ = nullptr;
+#endif
+#ifdef SP_EXEC_ASAN
+  const void* scheduler_stack_ = nullptr;
+  std::size_t scheduler_stack_bytes_ = 0;
 #endif
   std::uint32_t current_rank_ = 0;
   static thread_local FiberExecutor* current_exec_;

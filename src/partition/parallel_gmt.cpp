@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <tuple>
-#include <unordered_map>
 
 #include "geometry/sphere.hpp"
 #include "obs/span.hpp"
@@ -130,16 +128,16 @@ ParallelGmtResult parallel_gmt(comm::Comm& comm, const CsrGraph& g,
   std::vector<Vec3> normals(tries);
   for (auto& u : normals) u = geom::random_unit_vector(dir_rng);
 
-  // s values per (try, vertex).
-  std::vector<std::vector<double>> s(tries, std::vector<double>(n_local));
-  std::vector<std::vector<double>> s_ghost(
-      tries, std::vector<double>(ghost_lifted.size()));
+  // s values per (try, vertex): owned i at slot i, ghost j at n_local + j.
+  std::vector<std::vector<double>> s(
+      tries, std::vector<double>(n_local + ghost_lifted.size()));
   for (std::uint32_t t = 0; t < tries; ++t) {
     for (std::size_t i = 0; i < n_local; ++i) {
       s[t][i] = normals[t].dot(lifted[i]) + jitter_of(emb.owned[i]);
     }
     for (std::size_t i = 0; i < ghost_lifted.size(); ++i) {
-      s_ghost[t][i] = normals[t].dot(ghost_lifted[i]) + jitter_of(emb.ghost_ids[i]);
+      s[t][n_local + i] =
+          normals[t].dot(ghost_lifted[i]) + jitter_of(emb.ghost_ids[i]);
     }
   }
   comm.add_compute(static_cast<double>(tries) *
@@ -183,39 +181,37 @@ ParallelGmtResult parallel_gmt(comm::Comm& comm, const CsrGraph& g,
   comm.add_compute(static_cast<double>(thresholds->samples) * 2.0);
 
   // ---- Local cut and balance contributions; one reduction picks best. ----
-  std::unordered_map<VertexId, std::uint32_t> ghost_of;
-  ghost_of.reserve(emb.ghost_ids.size());
-  for (std::uint32_t i = 0; i < emb.ghost_ids.size(); ++i) {
-    ghost_of[emb.ghost_ids[i]] = i;
+  // Each arc's slot in s[t], resolved once from the embedding's arc_ref.
+  std::size_t owned_arcs = 0;
+  for (VertexId v : emb.owned) owned_arcs += g.degree(v);
+  SP_ASSERT(emb.arc_ref.size() == owned_arcs);
+  std::vector<std::uint32_t> arc_slot(emb.arc_ref.size());
+  for (std::size_t a = 0; a < arc_slot.size(); ++a) {
+    const std::uint32_t r = emb.arc_ref[a];
+    arc_slot[a] = (r & embed::kGhostRef) != 0
+                      ? static_cast<std::uint32_t>(n_local) + (r & ~embed::kGhostRef)
+                      : r;
   }
-  std::unordered_map<VertexId, std::uint32_t> local_of;
-  local_of.reserve(n_local);
-  for (std::uint32_t i = 0; i < n_local; ++i) local_of[emb.owned[i]] = i;
-  // s value of try t at vertex u, owned or ghost.
-  auto s_at = [&](std::uint32_t t, VertexId u) {
-    auto it_local = local_of.find(u);
-    if (it_local != local_of.end()) return s[t][it_local->second];
-    auto it_ghost = ghost_of.find(u);
-    SP_ASSERT(it_ghost != ghost_of.end());
-    return s_ghost[t][it_ghost->second];
-  };
 
   std::vector<double> contrib(tries * 3, 0.0);  // (cut2, w0, w1) per try
   double arc_work = 0.0;
   for (std::uint32_t t = 0; t < tries; ++t) {
+    const std::vector<double>& st = s[t];
+    const double th = threshold[t];
+    const std::uint32_t* slot = arc_slot.data();
     for (std::size_t i = 0; i < n_local; ++i) {
       VertexId v = emb.owned[i];
-      bool side_v = s[t][i] > threshold[t];
+      bool side_v = st[i] > th;
       contrib[3 * t + (side_v ? 2 : 1)] +=
           static_cast<double>(g.vertex_weight(v));
-      auto nbrs = g.neighbors(v);
       auto ws = g.edge_weights_of(v);
-      arc_work += static_cast<double>(nbrs.size());
-      for (std::size_t k = 0; k < nbrs.size(); ++k) {
-        if (side_v != (s_at(t, nbrs[k]) > threshold[t])) {
+      arc_work += static_cast<double>(ws.size());
+      for (std::size_t k = 0; k < ws.size(); ++k) {
+        if (side_v != (st[slot[k]] > th)) {
           contrib[3 * t] += static_cast<double>(ws[k]);  // counted twice total
         }
       }
+      slot += ws.size();
     }
   }
   comm.add_compute(arc_work * 2.0);
@@ -245,14 +241,18 @@ ParallelGmtResult parallel_gmt(comm::Comm& comm, const CsrGraph& g,
   // vertices fall inside. Boundary size comes from the winning try's cut
   // structure (endpoints of cut edges).
   double local_boundary = 0.0;
-  for (std::size_t i = 0; i < n_local; ++i) {
-    VertexId v = emb.owned[i];
-    bool side_v = result.side[i] != 0;
-    for (VertexId u : g.neighbors(v)) {
-      if (side_v != (s_at(best_t, u) > threshold[best_t])) {
-        local_boundary += 1.0;
-        break;
+  {
+    const std::uint32_t* slot = arc_slot.data();
+    for (std::size_t i = 0; i < n_local; ++i) {
+      const bool side_v = result.side[i] != 0;
+      const std::size_t deg = g.degree(emb.owned[i]);
+      for (std::size_t k = 0; k < deg; ++k) {
+        if (side_v != (s[best_t][slot[k]] > threshold[best_t])) {
+          local_boundary += 1.0;
+          break;
+        }
       }
+      slot += deg;
     }
   }
   double boundary_total =
@@ -359,9 +359,10 @@ ParallelGmtResult parallel_gmt(comm::Comm& comm, const CsrGraph& g,
   auto flips = comm.broadcast_vec(std::span<const VertexId>(flipped), 0);
   delta_cut = comm.broadcast(delta_cut, 0);
   for (VertexId v : flips) {
-    auto it = local_of.find(v);
-    if (it != local_of.end()) {
-      result.side[it->second] = static_cast<std::uint8_t>(1 - result.side[it->second]);
+    auto it = std::lower_bound(emb.owned.begin(), emb.owned.end(), v);
+    if (it != emb.owned.end() && *it == v) {
+      std::uint8_t& sd = result.side[it - emb.owned.begin()];
+      sd = static_cast<std::uint8_t>(1 - sd);
     }
   }
   result.cut = static_cast<Weight>(std::llround(best_cut + delta_cut));
@@ -381,76 +382,40 @@ graph::Weight distributed_cut(comm::Comm& comm, const CsrGraph& g,
                               const embed::RankEmbedding& emb,
                               std::span<const std::uint8_t> side) {
   SP_ASSERT(side.size() == emb.owned.size());
-  std::unordered_map<VertexId, std::uint32_t> local_of;
-  local_of.reserve(emb.owned.size());
-  for (std::uint32_t i = 0; i < emb.owned.size(); ++i) {
-    local_of[emb.owned[i]] = i;
-  }
-  std::unordered_map<VertexId, std::uint32_t> ghost_of;
-  ghost_of.reserve(emb.ghost_ids.size());
-  for (std::uint32_t i = 0; i < emb.ghost_ids.size(); ++i) {
-    ghost_of[emb.ghost_ids[i]] = i;
-  }
-
-  // Who ghosts my vertices: owner(u) for every ghost u adjacent to owned v
-  // needs (v, side_v). Sorted and deduplicated (dest, v, side_v) triples
-  // give one packet per destination, in ascending destination and vertex
-  // order, at a cost that grows with the peers, not with P.
+  // Who ghosts my vertices gets (v, side_v) for each of them: one packet
+  // per destination, in ascending destination and vertex order, built
+  // from the ghost arcs of arc_ref.
   struct SideMsg {
     VertexId id;
     std::uint32_t side;
   };
-  std::vector<std::tuple<std::uint32_t, VertexId, std::uint32_t>> sends;
-  for (std::uint32_t i = 0; i < emb.owned.size(); ++i) {
-    std::uint32_t last_dest = comm.rank();  // consecutive-dup filter
-    for (VertexId u : g.neighbors(emb.owned[i])) {
-      auto it = ghost_of.find(u);
-      if (it == ghost_of.end()) continue;
-      std::uint32_t dest = emb.ghost_owner[it->second];
-      if (dest == last_dest || dest == comm.rank()) continue;
-      sends.emplace_back(dest, emb.owned[i], side[i]);
-      last_dest = dest;
-    }
-  }
-  std::sort(sends.begin(), sends.end());
-  sends.erase(std::unique(sends.begin(), sends.end()), sends.end());
   std::vector<std::pair<std::uint32_t, std::vector<SideMsg>>> out;
-  for (const auto& [dest, id, sd] : sends) {
-    if (out.empty() || out.back().first != dest) out.push_back({dest, {}});
-    out.back().second.push_back({id, sd});
+  for (const auto& [dest, idx] : embed::halo_send_plan(
+           g, emb.owned, emb.arc_ref, emb.ghost_owner)) {
+    out.push_back({dest, {}});
+    for (std::uint32_t i : idx) out.back().second.push_back({emb.owned[i], side[i]});
   }
-  auto in = comm.exchange_typed(out);
   std::vector<std::uint8_t> ghost_side(emb.ghost_ids.size(), 0);
-  std::vector<bool> ghost_known(emb.ghost_ids.size(), false);
-  for (const auto& [src, payload] : in) {
-    (void)src;
-    for (const SideMsg& msg : payload) {
-      auto it = ghost_of.find(msg.id);
-      if (it != ghost_of.end()) {
-        ghost_side[it->second] = static_cast<std::uint8_t>(msg.side);
-        ghost_known[it->second] = true;
-      }
-    }
-  }
+  const std::size_t received = embed::apply_halo(
+      comm.exchange_typed(out),
+      embed::halo_recv_plan(emb.ghost_ids, emb.ghost_owner), emb.ghost_ids,
+      [&](std::uint32_t j, const SideMsg& msg) {
+        ghost_side[j] = static_cast<std::uint8_t>(msg.side);
+      });
+  SP_ASSERT_MSG(received == emb.ghost_ids.size(),
+                "ghost side missing in halo exchange");
 
   double cut2 = 0.0;
   double work = 0.0;
+  std::size_t a = 0;
   for (std::uint32_t i = 0; i < emb.owned.size(); ++i) {
-    VertexId v = emb.owned[i];
-    auto nbrs = g.neighbors(v);
-    auto ws = g.edge_weights_of(v);
-    work += static_cast<double>(nbrs.size());
-    for (std::size_t k = 0; k < nbrs.size(); ++k) {
-      VertexId u = nbrs[k];
-      std::uint8_t su;
-      auto it_local = local_of.find(u);
-      if (it_local != local_of.end()) {
-        su = side[it_local->second];
-      } else {
-        std::uint32_t gi = ghost_of.at(u);
-        SP_ASSERT_MSG(ghost_known[gi], "ghost side missing in halo exchange");
-        su = ghost_side[gi];
-      }
+    auto ws = g.edge_weights_of(emb.owned[i]);
+    work += static_cast<double>(ws.size());
+    for (std::size_t k = 0; k < ws.size(); ++k, ++a) {
+      const std::uint32_t r = emb.arc_ref[a];
+      const std::uint8_t su = (r & embed::kGhostRef) != 0
+                                  ? ghost_side[r & ~embed::kGhostRef]
+                                  : side[r];
       if (su != side[i]) cut2 += static_cast<double>(ws[k]);
     }
   }

@@ -16,6 +16,7 @@
 #include "comm/engine.hpp"
 #include "core/scalapart.hpp"
 #include "core/testsuite.hpp"
+#include "embed/lattice_parallel.hpp"
 #include "graph/generators.hpp"
 #include "graph/partition.hpp"
 
@@ -396,6 +397,48 @@ TEST(Invariants, PartitionValidatorAcceptsBalancedRejectsBroken) {
   graph::Bipartition short_part(n - 1);
   EXPECT_FALSE(
       analysis::validate_partition(gg.graph, short_part, 0.05).empty());
+}
+
+TEST(Invariants, RankEmbeddingArcRefNamesItsCsrNeighbour) {
+  // One rank's slice of a real P=4 embedding: its arc_ref comes from the
+  // halo build, so it validates; pointing one arc at another vertex, or
+  // dropping the last arc, is reported.
+  const graph::CsrGraph g = graph::gen::delaunay(400, 3).graph;
+  coarsen::HierarchyOptions hopt;
+  hopt.coarsest_size = 64;
+  auto hierarchy = coarsen::Hierarchy::build(g, hopt);
+  embed::EmbedWorkspace workspace(hierarchy);
+  embed::RankEmbedding slice;
+  comm::BspEngine::Options bopt;
+  bopt.nranks = 4;
+  comm::BspEngine engine(bopt);
+  engine.run([&](comm::Comm& world) {
+    auto emb = embed::lattice_embed(world, workspace, {});
+    if (world.rank() == 1) slice = std::move(emb);
+  });
+  ASSERT_FALSE(slice.owned.empty());
+  ASSERT_FALSE(slice.ghost_ids.empty());
+  EXPECT_TRUE(analysis::validate_rank_embedding(slice, g).empty());
+
+  // The first arc that reaches a ghost now names a different ghost (or,
+  // with one ghost, an owned vertex).
+  embed::RankEmbedding bad = slice;
+  std::size_t a = 0;
+  while ((bad.arc_ref[a] & embed::kGhostRef) == 0) ++a;
+  bad.arc_ref[a] = bad.ghost_ids.size() > 1
+                       ? embed::kGhostRef |
+                             ((bad.arc_ref[a] + 1) % bad.ghost_ids.size())
+                       : 0;
+  Violations v = analysis::validate_rank_embedding(bad, g);
+  ASSERT_EQ(v.size(), 1u);
+  EXPECT_NE(v[0].find("arc_ref[" + std::to_string(a) + "]"), std::string::npos)
+      << v[0];
+
+  bad = slice;
+  bad.arc_ref.pop_back();
+  v = analysis::validate_rank_embedding(bad, g);
+  ASSERT_EQ(v.size(), 1u);
+  EXPECT_NE(v[0].find("shorter"), std::string::npos) << v[0];
 }
 
 TEST(Invariants, FailCheckpointThrowsWithAllViolations) {

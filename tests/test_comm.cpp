@@ -2,12 +2,14 @@
 // splitting, cost accounting, determinism.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <memory>
 #include <numeric>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "comm/engine.hpp"
@@ -531,6 +533,64 @@ TEST_P(CollectiveDerive, ExceptionInFnReachesEveryMember) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, CollectiveDerive,
+                         ::testing::ValuesIn(derive_cases()),
+                         derive_case_name);
+
+// Comm::split derives every color's member order once per split. With
+// shuffled keys (ties broken by world rank) and three colors, each rank
+// must land where the filter-and-sort rule puts it: the members of its
+// color, ordered by (key, world rank). A second split of the result, with
+// reversed keys, checks a parent whose group ranks are not world ranks.
+class CommSplit : public ::testing::TestWithParam<DeriveCase> {};
+
+std::uint32_t shuffled_key(std::uint32_t r, std::uint32_t p) {
+  return (r * 7 + 3) % p / 2;  // a permutation halved: every key twice
+}
+
+TEST_P(CommSplit, ShuffledKeysAndThreeColorsGiveTheFilterAndSortGroups) {
+  const DeriveCase dc = GetParam();
+  const std::uint32_t p = dc.nranks;
+  std::vector<std::vector<std::uint32_t>> want(3);
+  for (std::uint32_t r = 0; r < p; ++r) want[r % 3].push_back(r);
+  for (auto& members : want) {
+    std::sort(members.begin(), members.end(),
+              [p](std::uint32_t a, std::uint32_t b) {
+                return std::make_pair(shuffled_key(a, p), a) <
+                       std::make_pair(shuffled_key(b, p), b);
+              });
+  }
+  struct Row {
+    std::uint32_t outer_ok = 0;
+    std::uint32_t inner_ok = 0;
+  };
+  std::vector<Row> rows;
+  BspEngine engine(derive_opts(dc));
+  engine.run([&](Comm& c) {
+    const std::uint32_t r = c.rank();
+    Comm sub = c.split(r % 3, shuffled_key(r, p));
+    const auto members = sub.allgather(r);
+    const auto& mine = want[r % 3];
+    Row row;
+    row.outer_ok = members == mine && sub.nranks() == mine.size() &&
+                   mine[sub.rank()] == r;
+    Comm inner = sub.split(sub.rank() % 2, sub.nranks() - sub.rank());
+    std::vector<std::uint32_t> inner_want;
+    for (std::uint32_t q = sub.nranks(); q-- > 0;) {
+      if (q % 2 == sub.rank() % 2) inner_want.push_back(members[q]);
+    }
+    row.inner_ok = inner.allgather(r) == inner_want &&
+                   inner_want[inner.rank()] == r;
+    auto all = c.gatherv(std::span<const Row>(&row, 1), 0);
+    if (r == 0) rows = std::move(all);
+  });
+  ASSERT_EQ(rows.size(), p);
+  for (std::uint32_t r = 0; r < p; ++r) {
+    EXPECT_EQ(rows[r].outer_ok, 1u) << "rank " << r;
+    EXPECT_EQ(rows[r].inner_ok, 1u) << "rank " << r;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, CommSplit,
                          ::testing::ValuesIn(derive_cases()),
                          derive_case_name);
 

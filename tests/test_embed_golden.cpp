@@ -47,7 +47,7 @@ std::vector<geom::Vec2> embed_p4(const graph::CsrGraph& g) {
     world.set_stage("embed");
     auto emb = lattice_embed(world, workspace, eopt);
     auto gathered = gather_embedding(world, emb, g.num_vertices());
-    if (world.rank() == 0) coords = std::move(gathered);
+    if (world.rank() == 0) coords = *gathered;
     world.barrier();
   });
   return coords;
@@ -120,8 +120,8 @@ Digests embed_and_cut_p64(std::uint32_t stale_block) {
     if (world.rank() == 0) {
       std::vector<std::uint8_t> side(g.num_vertices(), 0);
       for (const IdSide& r : all) side[r.id] = static_cast<std::uint8_t>(r.side);
-      out.coords = analysis::fingerprint_bytes(coords.data(),
-                                               coords.size() * sizeof(coords[0]));
+      out.coords = analysis::fingerprint_bytes(
+          coords->data(), coords->size() * sizeof((*coords)[0]));
       out.part = analysis::fingerprint_bytes(side.data(), side.size());
       out.cut = gmt.cut;
     }

@@ -40,7 +40,7 @@ EmbedRun run_embed(const CsrGraph& g, std::uint32_t p,
     world.set_stage("embed");
     auto emb = lattice_embed(world, workspace, opt);
     auto coords = gather_embedding(world, emb, g.num_vertices());
-    if (world.rank() == 0) out.coords = std::move(coords);
+    if (world.rank() == 0) out.coords = *coords;
     world.barrier();
   });
   return out;

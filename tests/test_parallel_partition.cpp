@@ -2,8 +2,14 @@
 // and parallel RCB.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <string>
+#include <vector>
+
+#include "analysis/determinism.hpp"
 #include "comm/engine.hpp"
 #include "core/scalapart.hpp"
+#include "exec/executor.hpp"
 #include "graph/generators.hpp"
 #include "partition/parallel_rcb.hpp"
 #include "partition/rcb.hpp"
@@ -63,6 +69,68 @@ TEST(ParallelGmt, HardGraphStillBalanced) {
   auto r = core::sp_pg7nl_partition(g.graph, g.coords, opt);
   EXPECT_LE(r.report.imbalance, 0.055);
 }
+
+// Pinned bits of the coordinate entry point: the halo build, the try loop,
+// the strip FM and the exact distributed cut all feed the side digest, the
+// cut and the modeled clock, and the run must match on every backend. The
+// values were recorded before the halo index became dense, so any change
+// to how an arc, a ghost or a received coordinate is resolved shows here.
+struct PinnedCase {
+  exec::Backend backend = exec::Backend::kFiber;
+  std::uint8_t pad[3] = {};  // explicit, zeroed: gtest prints the bytes
+  std::uint32_t nranks = 4;
+};
+
+std::vector<PinnedCase> pinned_cases() {
+  std::vector<exec::Backend> backends{exec::Backend::kFiber};
+  if (exec::threads_backend_available()) {
+    backends.push_back(exec::Backend::kThreads);
+  }
+  if (exec::process_backend_available()) {
+    backends.push_back(exec::Backend::kProcess);
+  }
+  std::vector<PinnedCase> cases;
+  for (exec::Backend b : backends) {
+    for (std::uint32_t p : {4u, 16u}) cases.push_back({b, {}, p});
+  }
+  return cases;
+}
+
+class PinnedPg7nl : public ::testing::TestWithParam<PinnedCase> {};
+
+TEST_P(PinnedPg7nl, DigestCutAndModeledSecondsPinned) {
+  struct Want {
+    std::uint64_t part;
+    Weight cut;
+    std::uint64_t modeled_bits;
+    std::uint64_t stats;
+  };
+  const Want want =
+      GetParam().nranks == 4
+          ? Want{0x968c7a752aeaf90eull, 139, 0x3f489c783f6db87full,
+                 0xdaf0d67f82b716eaull}
+          : Want{0xdc97a5cfedfa7c3bull, 112, 0x3f422a85a4d817f0ull,
+                 0xf3a639ede287d573ull};
+  auto g = graph::gen::delaunay(3000, 7);
+  core::ScalaPartOptions opt;
+  opt.nranks = GetParam().nranks;
+  opt.backend = GetParam().backend;
+  opt.threads = 4;
+  auto r = core::sp_pg7nl_partition(g.graph, g.coords, opt);
+  EXPECT_EQ(analysis::fingerprint_bytes(r.part.side.data(), r.part.side.size()),
+            want.part);
+  EXPECT_EQ(r.report.cut, want.cut);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(r.modeled_seconds), want.modeled_bits)
+      << r.modeled_seconds;
+  EXPECT_EQ(r.stats.fingerprint(), want.stats);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Backends, PinnedPg7nl, ::testing::ValuesIn(pinned_cases()),
+    [](const ::testing::TestParamInfo<PinnedCase>& info) {
+      return std::string(exec::backend_name(info.param.backend)) + "_P" +
+             std::to_string(info.param.nranks);
+    });
 
 class ParallelRcbTest : public ::testing::TestWithParam<std::uint32_t> {};
 
