@@ -6,8 +6,8 @@
 // shared-memory accesses between synchronization points are race-free
 // under every legal schedule, not just the observed one.
 //
-// How: RaceAuditor implements comm::RaceSink (race_hook.hpp). The engine
-// feeds it every rendezvous arrival/pickup and every rank kill; the
+// How: RaceAuditor is an engine event listener (comm/events.hpp). The
+// engine feeds it every rendezvous arrival/pickup and every rank kill; the
 // SharedSpan / shared_store / note_shared_write annotations
 // (analysis/shared.hpp) feed it every access to rank-shared memory. The
 // auditor maintains one vector clock per rank — every rendezvous is a
@@ -17,6 +17,18 @@
 // shared byte. Two conflicting accesses (same byte, at least one write,
 // different ranks) that no happens-before path orders are reported with
 // both stages and both call sites, mirroring SpmdDivergenceError.
+//
+// Event model. Comm splits are built on an allgather, so they need no
+// event of their own; shrink emits the same arrive/pickup pair keyed by
+// the engine's failure count. An object derived once for a whole
+// collective (allgather_derive) is published inside its rendezvous and
+// read by every member at pickup, so a member that later writes to it
+// races every other holder; its release clears its bytes, whose address
+// a later object may reuse. Rank spawn is on_run_begin (all ranks fork
+// from the host with fresh clocks); a kill's clock orders the victim's
+// history before everything that synchronizes after the death (the
+// engine lock serializes the kill against every later rendezvous on
+// every backend).
 //
 // Why one deterministic fiber run suffices: the happens-before relation
 // is built from the program's rendezvous structure, which a correct SPMD
@@ -40,7 +52,7 @@
 
 #include "analysis/signature.hpp"
 #include "comm/engine.hpp"
-#include "comm/race_hook.hpp"
+#include "comm/events.hpp"
 
 namespace sp::analysis {
 
@@ -82,12 +94,12 @@ struct RaceReport {
   std::string str() const;
 };
 
-/// The vector-clock sink. Install around an engine run (ScopedRaceAudit
+/// The vector-clock listener. Install around an engine run (ScopedRaceAudit
 /// below, or audit_races for the common case); thread-safe, so it works
 /// identically under the threads backend. State resets at on_run_begin,
 /// so one auditor can observe several runs in sequence — report() covers
 /// everything since the last reset.
-class RaceAuditor final : public comm::RaceSink {
+class RaceAuditor final : public comm::EngineEvents {
  public:
   RaceAuditor() = default;
   ~RaceAuditor() override = default;
@@ -95,14 +107,16 @@ class RaceAuditor final : public comm::RaceSink {
   RaceAuditor& operator=(const RaceAuditor&) = delete;
 
   void on_run_begin(std::uint32_t nranks) override;
-  void on_rendezvous_arrive(std::uint32_t world_rank, std::uint64_t group,
-                            std::uint64_t seq) override;
-  void on_rendezvous_pickup(std::uint32_t world_rank, std::uint64_t group,
-                            std::uint64_t seq) override;
-  void on_rendezvous_publish(std::uint64_t group, std::uint64_t seq,
-                             const comm::RaceAccess& object) override;
+  void on_arrive(std::uint32_t world_rank, std::uint64_t group,
+                 std::uint64_t seq, double clock, const char* op,
+                 const std::string* stage) override;
+  void on_pickup(std::uint32_t world_rank, std::uint64_t group,
+                 std::uint64_t seq) override;
+  void on_publish(std::uint64_t group, std::uint64_t seq,
+                  const comm::RaceAccess& object) override;
   void on_release(std::uintptr_t addr, std::size_t size) override;
-  void on_rank_killed(std::uint32_t world_rank) override;
+  void on_rank_killed(std::uint32_t world_rank, double clock,
+                      const std::string* stage) override;
   void on_access(const comm::RaceAccess& access) override;
 
   RaceReport report() const;
@@ -152,23 +166,36 @@ class RaceAuditor final : public comm::RaceSink {
   std::uint64_t sync_joins_ = 0;
 };
 
-/// RAII installer: routes engine events to `auditor` for the enclosing
-/// scope, restoring the previous sink (usually none) on exit.
+/// RAII installer: adds `auditor` to the engine's event listeners and
+/// arms it as the access listener for the enclosing scope; on exit it
+/// stops listening and the previous access listener (usually none) is
+/// re-armed. With SP_ANALYSIS off it installs nothing: no race event
+/// exists to listen to.
 class ScopedRaceAudit {
  public:
-  explicit ScopedRaceAudit(RaceAuditor& auditor)
-      : prev_(comm::set_race_sink(&auditor)) {}
-  ~ScopedRaceAudit() { comm::set_race_sink(prev_); }
+  explicit ScopedRaceAudit(RaceAuditor& auditor) : auditor_(auditor) {
+    if constexpr (comm::kRaceEvents) {
+      comm::add_listener(&auditor);
+      prev_access_ = comm::set_access_listener(&auditor);
+    }
+  }
+  ~ScopedRaceAudit() {
+    if constexpr (comm::kRaceEvents) {
+      comm::set_access_listener(prev_access_);
+      comm::remove_listener(&auditor_);
+    }
+  }
   ScopedRaceAudit(const ScopedRaceAudit&) = delete;
   ScopedRaceAudit& operator=(const ScopedRaceAudit&) = delete;
 
  private:
-  comm::RaceSink* prev_;
+  RaceAuditor& auditor_;
+  comm::EngineEvents* prev_access_ = nullptr;
 };
 
 /// Convenience: runs `program` on an engine built from `options` with a
 /// fresh auditor installed and returns its report. Exceptions from the
-/// run propagate after the sink is uninstalled.
+/// run propagate after the auditor is uninstalled.
 RaceReport audit_races(comm::BspEngine::Options options,
                        const std::function<void(comm::Comm&)>& program);
 

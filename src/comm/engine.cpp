@@ -12,8 +12,7 @@
 #include <tuple>
 
 #include "comm/arena.hpp"
-#include "comm/flight_hook.hpp"
-#include "comm/race_hook.hpp"
+#include "comm/events.hpp"
 #include "exec/executor.hpp"
 #include "support/random.hpp"
 #include "support/timer.hpp"
@@ -27,6 +26,32 @@
 #endif
 
 namespace sp::comm {
+
+// ---------------------------------------------------------------------------
+// Event listeners (see events.hpp). Changed by the scoped installers
+// between runs and only read while ranks execute, so plain globals are
+// safe on every backend; each listener synchronizes its own state.
+// ---------------------------------------------------------------------------
+
+namespace {
+std::vector<EngineEvents*> g_listeners;
+EngineEvents* g_access_listener = nullptr;
+}  // namespace
+
+void add_listener(EngineEvents* listener) { g_listeners.push_back(listener); }
+
+void remove_listener(EngineEvents* listener) {
+  const auto it = std::find(g_listeners.rbegin(), g_listeners.rend(), listener);
+  if (it != g_listeners.rend()) g_listeners.erase(std::next(it).base());
+}
+
+EngineEvents* access_listener() { return g_access_listener; }
+
+EngineEvents* set_access_listener(EngineEvents* listener) {
+  EngineEvents* prev = g_access_listener;
+  g_access_listener = listener;
+  return prev;
+}
 
 namespace detail {
 
@@ -44,6 +69,24 @@ bool contains_rank(const std::vector<std::uint32_t>& members,
                    std::uint32_t world_rank) {
   return std::find(members.begin(), members.end(), world_rank) !=
          members.end();
+}
+
+/// The race auditor's view of a derived object: its own bytes, under the
+/// call site of the collective that produced it.
+RaceAccess derived_access(std::uint32_t world_rank, const void* obj,
+                          std::size_t size, bool is_write,
+                          const std::string& stage,
+                          const analysis::CallSite& site) {
+  RaceAccess a;
+  a.world_rank = world_rank;
+  // Identity only, never ordering. sp-lint-allow(pointer-order)
+  a.addr = reinterpret_cast<std::uintptr_t>(obj);
+  a.size = size;
+  a.is_write = is_write;
+  a.label = "comm/derived";
+  a.stage = &stage;
+  a.site = site;
+  return a;
 }
 }  // namespace
 
@@ -255,11 +298,11 @@ class EngineImpl {
     } process_teardown{process_ranks ? this : nullptr};
 #endif
 
-#ifdef SP_ANALYSIS
     // Rank spawn, happens-before-wise: all ranks fork from the host here
-    // with fresh vector clocks (race_hook.hpp).
-    if (RaceSink* rs = race_sink()) rs->on_run_begin(opt_.nranks);
-#endif
+    // with fresh vector clocks.
+    if constexpr (kRaceEvents) {
+      for (EngineEvents* l : g_listeners) l->on_run_begin(opt_.nranks);
+    }
 
     // The executor runs the rank bodies — as fibers resumed in Schedule
     // order, or as real threads. When no rank can make progress (a full
@@ -325,11 +368,11 @@ class EngineImpl {
       stats.comm_counters.arena_acquires += a.acquires;
       stats.comm_counters.arena_hits += a.hits;
       stats.comm_counters.arena_released += a.released;
-#ifdef SP_OBS
-      if (ObsSink* sink = obs_sink()) {
-        sink->on_comm_counters(r, coalesced_batches_[r], a.acquires, a.hits);
+      if constexpr (kObsEvents) {
+        for (EngineEvents* l : g_listeners) {
+          l->on_comm_counters(r, coalesced_batches_[r], a.acquires, a.hits);
+        }
       }
-#endif
     }
     return stats;
   }
@@ -535,6 +578,80 @@ class EngineImpl {
     }
   }
 
+  // ---- Rendezvous events (events.hpp) ----
+  //
+  // collective_, exchange_core_ and shrink_ emit each rendezvous event
+  // through one of these helpers, which checks the event family's build
+  // flag and fans out to every listener. Call with the engine lock held.
+
+  /// `world_rank` joined rendezvous (`group`, `seq`) of `op`; `t_begin`
+  /// is its clock when it entered the call.
+  void emit_arrive(std::uint32_t world_rank, std::uint64_t group,
+                   std::uint64_t seq, double t_begin, const char* op) {
+    if constexpr (kObsEvents || kRaceEvents) {
+      for (EngineEvents* l : g_listeners) {
+        l->on_arrive(world_rank, group, seq, t_begin, op,
+                     &stages_[world_rank]);
+      }
+    }
+  }
+
+  /// `world_rank` completed `op`; its clock is the op's end time.
+  void emit_comm_op(std::uint32_t world_rank, const char* op,
+                    std::uint64_t group, std::uint64_t seq, double t_begin,
+                    std::uint64_t messages, std::uint64_t bytes,
+                    bool is_collective) {
+    if constexpr (kObsEvents) {
+      if (g_listeners.empty()) return;
+      CommOpEvent ev;
+      ev.world_rank = world_rank;
+      ev.op = op;
+      ev.stage = &stages_[world_rank];
+      ev.group = group;
+      ev.seq = seq;
+      ev.t_begin = t_begin;
+      ev.t_end = clocks_[world_rank];
+      ev.messages = messages;
+      ev.bytes = bytes;
+      ev.is_collective = is_collective;
+      for (EngineEvents* l : g_listeners) l->on_comm_op(ev);
+    }
+  }
+
+  /// `world_rank` left the completed rendezvous (`group`, `seq`).
+  void emit_pickup(std::uint32_t world_rank, std::uint64_t group,
+                   std::uint64_t seq) {
+    if constexpr (kRaceEvents) {
+      for (EngineEvents* l : g_listeners) l->on_pickup(world_rank, group, seq);
+    }
+  }
+
+  /// `world_rank` derived `obj` (`size` bytes) inside rendezvous
+  /// (`group`, `seq`) at the user call `site`.
+  void emit_publish(std::uint32_t world_rank, std::uint64_t group,
+                    std::uint64_t seq, const void* obj, std::size_t size,
+                    const analysis::CallSite& site) {
+    if constexpr (kRaceEvents) {
+      if (g_listeners.empty()) return;
+      const RaceAccess a = derived_access(world_rank, obj, size,
+                                          /*is_write=*/true,
+                                          stages_[world_rank], site);
+      for (EngineEvents* l : g_listeners) l->on_publish(group, seq, a);
+    }
+  }
+
+  /// `world_rank` picked up the derived `obj` and may read it from here
+  /// on. An access event: it reaches only the access listener.
+  void emit_derived_read(std::uint32_t world_rank, const void* obj,
+                         std::size_t size, const analysis::CallSite& site) {
+    if constexpr (kRaceEvents) {
+      if (g_access_listener == nullptr) return;
+      g_access_listener->on_access(derived_access(
+          world_rank, obj, size, /*is_write=*/false, stages_[world_rank],
+          site));
+    }
+  }
+
   // ---- Failure detector (Options::detector; DESIGN.md §4a) ----
 
   /// Records the arriving member's virtual clock for the detection pass.
@@ -585,20 +702,15 @@ class EngineImpl {
         ++detector_stats_.retries;
         st.detector_wait += opt_.detector.backoff_seconds * n;
       }
-#ifdef SP_OBS
-      DetectorEvent ev;
-      ev.suspect = w;
-      ev.suspicions = n;
-      ev.lag_seconds = lag;
-      ev.escalated = escalated;
-      if (ObsSink* sink = obs_sink()) sink->on_detector(ev);
-      // The suspect is parked at this rendezvous, so its arrival clock is
-      // its current clock — the time a postmortem should pin the
-      // suspicion to.
-      if (FlightSink* fs = flight_sink()) {
-        fs->on_detector(ev, st.arrive_clock[g]);
+      if constexpr (kObsEvents) {
+        const DetectorEvent ev{w, n, lag, escalated};
+        // The suspect is parked at this rendezvous, so its arrival clock
+        // is its current clock — the time a postmortem should pin the
+        // suspicion to.
+        for (EngineEvents* l : g_listeners) {
+          l->on_detector(ev, st.arrive_clock[g]);
+        }
       }
-#endif
     }
   }
 
@@ -981,19 +1093,15 @@ class EngineImpl {
   [[noreturn]] void kill_rank_(std::uint32_t r) {
     failed_[r] = true;
     failed_order_.push_back(r);
-#ifdef SP_ANALYSIS
-    // The victim's history is ordered (via the engine lock, on both
-    // backends) before every rendezvous completed after this point; the
-    // sink folds its clock into a fail-join applied at later pickups.
-    if (RaceSink* rs = race_sink()) rs->on_rank_killed(r);
-#endif
-#ifdef SP_OBS
-    // Terminal record of the victim's flight lane: its death time and
-    // the pipeline stage it died in (what tools/postmortem reports).
-    if (FlightSink* fs = flight_sink()) {
-      fs->on_rank_killed(r, clocks_[r], &stages_[r]);
+    // The engine lock orders the victim's history before every rendezvous
+    // completed after this point (the race auditor's fail-join); its
+    // death time and stage end its flight lane (what tools/postmortem
+    // reports).
+    if constexpr (kObsEvents || kRaceEvents) {
+      for (EngineEvents* l : g_listeners) {
+        l->on_rank_killed(r, clocks_[r], &stages_[r]);
+      }
     }
-#endif
     for (auto& [key, st] : states_) {
       // A pending rendezvous expecting the dead rank can never fill up.
       // (The dead rank itself is never mid-rendezvous: crashes fire at
@@ -1474,61 +1582,6 @@ class EngineImpl {
 }  // namespace detail
 
 // ---------------------------------------------------------------------------
-// Observability sink (see obs_hook.hpp). Installed by the host before a
-// run and read (never written) by rank bodies, so a plain global pointer
-// is safe on both backends; the sink object itself synchronizes its
-// mutations (obs::Recorder locks internally).
-// ---------------------------------------------------------------------------
-
-namespace {
-ObsSink* g_obs_sink = nullptr;
-}  // namespace
-
-ObsSink* obs_sink() { return g_obs_sink; }
-
-ObsSink* set_obs_sink(ObsSink* sink) {
-  ObsSink* prev = g_obs_sink;
-  g_obs_sink = sink;
-  return prev;
-}
-
-// ---------------------------------------------------------------------------
-// Happens-before sink (see race_hook.hpp). Same install discipline as the
-// ObsSink: the host sets it before a run and clears it after, rank bodies
-// only ever read the pointer; the sink synchronizes internally.
-// ---------------------------------------------------------------------------
-
-namespace {
-RaceSink* g_race_sink = nullptr;
-}  // namespace
-
-RaceSink* race_sink() { return g_race_sink; }
-
-RaceSink* set_race_sink(RaceSink* sink) {
-  RaceSink* prev = g_race_sink;
-  g_race_sink = sink;
-  return prev;
-}
-
-// ---------------------------------------------------------------------------
-// Flight-recorder sink (see flight_hook.hpp). Same install discipline as
-// the ObsSink; every engine-side emission is SP_OBS-gated, so with obs
-// compiled out the pointer simply stays null and untouched.
-// ---------------------------------------------------------------------------
-
-namespace {
-FlightSink* g_flight_sink = nullptr;
-}  // namespace
-
-FlightSink* flight_sink() { return g_flight_sink; }
-
-FlightSink* set_flight_sink(FlightSink* sink) {
-  FlightSink* prev = g_flight_sink;
-  g_flight_sink = sink;
-  return prev;
-}
-
-// ---------------------------------------------------------------------------
 // Comm implementation
 // ---------------------------------------------------------------------------
 
@@ -1574,39 +1627,12 @@ void Comm::barrier(std::source_location loc) {
               analysis::CallSite::from(loc));
 }
 
-namespace {
-#ifdef SP_ANALYSIS
-/// The race auditor's view of a derived object: its own bytes, under the
-/// call site of the collective that produced it.
-RaceAccess derived_access(std::uint32_t world_rank, const void* obj,
-                          std::size_t size, bool is_write,
-                          const std::string& stage,
-                          const analysis::CallSite& site) {
-  RaceAccess a;
-  a.world_rank = world_rank;
-  // Identity only, never ordering. sp-lint-allow(pointer-order)
-  a.addr = reinterpret_cast<std::uintptr_t>(obj);
-  a.size = size;
-  a.is_write = is_write;
-  a.label = "comm/derived";
-  a.stage = &stage;
-  a.site = site;
-  return a;
-}
-#endif
-
-}  // namespace
-
 void Comm::release_derived_(const void* obj, std::size_t size) {
-#ifdef SP_ANALYSIS
-  if (RaceSink* rs = race_sink()) {
+  if constexpr (kRaceEvents) {
     // Identity only, never ordering. sp-lint-allow(pointer-order)
-    rs->on_release(reinterpret_cast<std::uintptr_t>(obj), size);
+    const auto addr = reinterpret_cast<std::uintptr_t>(obj);
+    for (EngineEvents* l : g_listeners) l->on_release(addr, size);
   }
-#else
-  (void)obj;
-  (void)size;
-#endif
 }
 
 namespace {
@@ -1649,9 +1675,7 @@ std::vector<std::byte> Comm::collective_(CollKind kind,
   // parked in wait_all_arrived); RAII so every throw path unlocks.
   exec::ExecLock guard(engine_->executor());
   engine_->on_comm_event(world_rank_);
-#ifdef SP_OBS
-  const double obs_t_begin = engine_->clock(world_rank_);
-#endif
+  const double t_begin = engine_->clock(world_rank_);
   if (engine_->any_failed_in(*group_)) {
     // ULFM-style failure propagation: touching a communicator with a dead
     // member raises immediately. Consume the sequence number so survivors
@@ -1683,19 +1707,8 @@ std::vector<std::byte> Comm::collective_(CollKind kind,
   st.max_clock = std::max(st.max_clock, engine_->clock(world_rank_));
   engine_->record_arrival(st, group_rank_, world_rank_);
   ++st.arrived;
-#ifdef SP_ANALYSIS
-  if (RaceSink* rs = race_sink()) {
-    rs->on_rendezvous_arrive(world_rank_, group_->id, my_seq);
-  }
-#endif
-#ifdef SP_OBS
-  // Flight record of the *arrival* (not just the completion): if this
-  // rank never leaves the rendezvous, this is the last thing it did.
-  if (FlightSink* fs = flight_sink()) {
-    fs->on_arrive(world_rank_, group_->id, my_seq, obs_t_begin,
-                  coll_kind_name(kind), &engine_->stage_of(world_rank_));
-  }
-#endif
+  engine_->emit_arrive(world_rank_, group_->id, my_seq, t_begin,
+                       coll_kind_name(kind));
   engine_->notify_arrival(st);
   if (engine_->wait_all_arrived(world_rank_, st)) {
     engine_->observe_poison(st);
@@ -1799,23 +1812,8 @@ std::vector<std::byte> Comm::collective_(CollKind kind,
   engine_->set_clock(world_rank_, st.max_clock);
   engine_->charge_comm(world_rank_, seconds, msgs, bytes, /*is_collective=*/true);
   engine_->charge_detector_wait(world_rank_, st);
-#ifdef SP_OBS
-  if (obs_sink() != nullptr || flight_sink() != nullptr) {
-    CommOpEvent ev;
-    ev.world_rank = world_rank_;
-    ev.op = coll_kind_name(kind);
-    ev.stage = &engine_->stage_of(world_rank_);
-    ev.group = group_->id;
-    ev.seq = my_seq;
-    ev.t_begin = obs_t_begin;
-    ev.t_end = engine_->clock(world_rank_);
-    ev.messages = msgs;
-    ev.bytes = bytes;
-    ev.is_collective = true;
-    if (ObsSink* sink = obs_sink()) sink->on_comm_op(ev);
-    if (FlightSink* fs = flight_sink()) fs->on_comm_op(ev);
-  }
-#endif
+  engine_->emit_comm_op(world_rank_, coll_kind_name(kind), group_->id, my_seq,
+                        t_begin, msgs, bytes, /*is_collective=*/true);
 
   std::vector<std::byte> my_result;
   if (derive != nullptr) {
@@ -1827,15 +1825,10 @@ std::vector<std::byte> Comm::collective_(CollKind kind,
       } catch (...) {
         st.derive_error = std::current_exception();
       }
-#ifdef SP_ANALYSIS
-      if (RaceSink* rs = race_sink(); rs != nullptr && st.derived != nullptr) {
-        rs->on_rendezvous_publish(
-            group_->id, my_seq,
-            derived_access(world_rank_, st.derived.get(), derive->size,
-                           /*is_write=*/true, engine_->stage_of(world_rank_),
-                           site));
+      if (st.derived != nullptr) {
+        engine_->emit_publish(world_rank_, group_->id, my_seq,
+                              st.derived.get(), derive->size, site);
       }
-#endif
     }
     derive->out = st.derived;
   } else if (kind == CollKind::kGather) {
@@ -1853,19 +1846,13 @@ std::vector<std::byte> Comm::collective_(CollKind kind,
   }
 #endif
 
-#ifdef SP_ANALYSIS
   // Pickup: this rank leaves with the join of every member's arrival
   // clock (all members arrived — wait_all_arrived returned clean).
-  if (RaceSink* rs = race_sink()) {
-    rs->on_rendezvous_pickup(world_rank_, group_->id, my_seq);
-    // Every member holding the derived object may read it from here on.
-    if (derive != nullptr && derive->out != nullptr) {
-      rs->on_access(derived_access(world_rank_, derive->out.get(),
-                                   derive->size, /*is_write=*/false,
-                                   engine_->stage_of(world_rank_), site));
-    }
+  engine_->emit_pickup(world_rank_, group_->id, my_seq);
+  if (derive != nullptr && derive->out != nullptr) {
+    engine_->emit_derived_read(world_rank_, derive->out.get(), derive->size,
+                               site);
   }
-#endif
   const std::exception_ptr derive_error =
       derive != nullptr ? st.derive_error : nullptr;
   if (++st.pickups == st.expected) {
@@ -1927,9 +1914,7 @@ std::vector<detail::InboxEntry> Comm::exchange_core_(
     std::vector<Packet> outgoing, const analysis::CallSite& site) {
   exec::ExecLock guard(engine_->executor());
   engine_->on_comm_event(world_rank_);
-#ifdef SP_OBS
-  const double obs_t_begin = engine_->clock(world_rank_);
-#endif
+  const double t_begin = engine_->clock(world_rank_);
   if (engine_->any_failed_in(*group_)) {
     ++seq_;  // keep survivors' sequence numbers aligned (see collective_)
     throw RankFailedError(engine_->all_failed());
@@ -1996,17 +1981,7 @@ std::vector<detail::InboxEntry> Comm::exchange_core_(
   st.max_clock = std::max(st.max_clock, engine_->clock(world_rank_));
   engine_->record_arrival(st, group_rank_, world_rank_);
   ++st.arrived;
-#ifdef SP_ANALYSIS
-  if (RaceSink* rs = race_sink()) {
-    rs->on_rendezvous_arrive(world_rank_, group_->id, my_seq);
-  }
-#endif
-#ifdef SP_OBS
-  if (FlightSink* fs = flight_sink()) {
-    fs->on_arrive(world_rank_, group_->id, my_seq, obs_t_begin, "exchange",
-                  &engine_->stage_of(world_rank_));
-  }
-#endif
+  engine_->emit_arrive(world_rank_, group_->id, my_seq, t_begin, "exchange");
   engine_->notify_arrival(st);
   if (engine_->wait_all_arrived(world_rank_, st)) {
     engine_->observe_poison(st);
@@ -2055,29 +2030,9 @@ std::vector<detail::InboxEntry> Comm::exchange_core_(
   engine_->charge_comm(world_rank_, seconds, msgs_out, bytes_out,
                        /*is_collective=*/false);
   engine_->charge_detector_wait(world_rank_, st);
-#ifdef SP_OBS
-  if (obs_sink() != nullptr || flight_sink() != nullptr) {
-    CommOpEvent ev;
-    ev.world_rank = world_rank_;
-    ev.op = "exchange";
-    ev.stage = &engine_->stage_of(world_rank_);
-    ev.group = group_->id;
-    ev.seq = my_seq;
-    ev.t_begin = obs_t_begin;
-    ev.t_end = engine_->clock(world_rank_);
-    ev.messages = msgs_out;
-    ev.bytes = bytes_out;
-    ev.is_collective = false;
-    if (ObsSink* sink = obs_sink()) sink->on_comm_op(ev);
-    if (FlightSink* fs = flight_sink()) fs->on_comm_op(ev);
-  }
-#endif
-
-#ifdef SP_ANALYSIS
-  if (RaceSink* rs = race_sink()) {
-    rs->on_rendezvous_pickup(world_rank_, group_->id, my_seq);
-  }
-#endif
+  engine_->emit_comm_op(world_rank_, "exchange", group_->id, my_seq, t_begin,
+                        msgs_out, bytes_out, /*is_collective=*/false);
+  engine_->emit_pickup(world_rank_, group_->id, my_seq);
   if (++st.pickups == st.expected) {
     engine_->erase_state(*group_, my_seq);
   }
@@ -2250,9 +2205,7 @@ Comm Comm::shrink_(const analysis::CallSite& site) {
   for (;;) {
     exec::ExecLock guard(engine_->executor());
     engine_->on_comm_event(world_rank_);  // a rank may die entering shrink
-#ifdef SP_OBS
-    const double obs_t_begin = engine_->clock(world_rank_);
-#endif
+    const double t_begin = engine_->clock(world_rank_);
     const std::uint64_t key = kShrinkBase + engine_->failed_count();
     std::vector<std::uint32_t> live = engine_->live_members(*group_);
     detail::CollState& st = engine_->state_for(
@@ -2271,17 +2224,7 @@ Comm Comm::shrink_(const analysis::CallSite& site) {
     }
     st.max_clock = std::max(st.max_clock, engine_->clock(world_rank_));
     ++st.arrived;
-#ifdef SP_ANALYSIS
-    if (RaceSink* rs = race_sink()) {
-      rs->on_rendezvous_arrive(world_rank_, group_->id, key);
-    }
-#endif
-#ifdef SP_OBS
-    if (FlightSink* fs = flight_sink()) {
-      fs->on_arrive(world_rank_, group_->id, key, obs_t_begin, "shrink",
-                    &engine_->stage_of(world_rank_));
-    }
-#endif
+    engine_->emit_arrive(world_rank_, group_->id, key, t_begin, "shrink");
     engine_->notify_arrival(st);
     if (engine_->wait_all_arrived(world_rank_, st)) {
       // Another rank died while this shrink was in flight: restart. The
@@ -2312,23 +2255,10 @@ Comm Comm::shrink_(const analysis::CallSite& site) {
                          static_cast<std::uint64_t>(log_p),
                          static_cast<std::uint64_t>(bytes),
                          /*is_collective=*/true);
-#ifdef SP_OBS
-    if (obs_sink() != nullptr || flight_sink() != nullptr) {
-      CommOpEvent ev;
-      ev.world_rank = world_rank_;
-      ev.op = "shrink";
-      ev.stage = &engine_->stage_of(world_rank_);
-      ev.group = group_->id;
-      ev.seq = key;
-      ev.t_begin = obs_t_begin;
-      ev.t_end = engine_->clock(world_rank_);
-      ev.messages = static_cast<std::uint64_t>(log_p);
-      ev.bytes = static_cast<std::uint64_t>(bytes);
-      ev.is_collective = true;
-      if (ObsSink* sink = obs_sink()) sink->on_comm_op(ev);
-      if (FlightSink* fs = flight_sink()) fs->on_comm_op(ev);
-    }
-#endif
+    engine_->emit_comm_op(world_rank_, "shrink", group_->id, key, t_begin,
+                          static_cast<std::uint64_t>(log_p),
+                          static_cast<std::uint64_t>(bytes),
+                          /*is_collective=*/true);
 
     auto group = std::make_shared<detail::GroupInfo>();
     group->id = engine_->group_id_for_split(group_->id, key, 0);
@@ -2337,13 +2267,9 @@ Comm Comm::shrink_(const analysis::CallSite& site) {
     for (std::uint32_t i = 0; i < members.size(); ++i) {
       if (members[i] == world_rank_) my_index = i;
     }
-#ifdef SP_ANALYSIS
     // A completed shrink joins every survivor's clock — this is the edge
     // that orders a failed attempt's writes before the recovery rerun.
-    if (RaceSink* rs = race_sink()) {
-      rs->on_rendezvous_pickup(world_rank_, group_->id, key);
-    }
-#endif
+    engine_->emit_pickup(world_rank_, group_->id, key);
     if (++st.pickups == st.expected) {
       engine_->erase_state(*group_, key);
     }

@@ -40,7 +40,6 @@
 #include "analysis/signature.hpp"
 #include "comm/cost_model.hpp"
 #include "comm/fault_plan.hpp"
-#include "comm/obs_hook.hpp"
 #include "comm/trace.hpp"
 #include "support/assert.hpp"
 
@@ -82,6 +81,18 @@ class CommUsageError : public std::logic_error {
 class SpmdDivergenceError : public CommUsageError {
  public:
   explicit SpmdDivergenceError(const std::string& msg) : CommUsageError(msg) {}
+};
+
+/// Cumulative modeled cost of one rank since the start of its run,
+/// readable mid-run via Comm::cost_snapshot(). obs::Span diffs two of
+/// these to attribute comm/compute to the span. Aggregates across all
+/// stages (unlike StageCost, which buckets by stage).
+struct CostSnapshot {
+  double compute_seconds = 0.0;
+  double comm_seconds = 0.0;
+  std::uint64_t messages = 0;
+  std::uint64_t bytes_sent = 0;
+  std::uint64_t collectives = 0;
 };
 
 /// A rank's endpoint within one process group. Obtained from

@@ -68,14 +68,10 @@ embed::RankEmbedding embedding_from_coords(comm::Comm& world,
   // arc resolves by offset or by binary search.
   for (VertexId i = 0; i < view.num_local(); ++i) {
     for (VertexId u : view.neighbors(i)) {
-      if (view.owns(u)) {
-        emb.arc_ref.push_back(view.to_local(u));
-      } else {
-        auto it = std::lower_bound(emb.ghost_ids.begin(), emb.ghost_ids.end(), u);
-        emb.arc_ref.push_back(
-            embed::kGhostRef |
-            static_cast<std::uint32_t>(it - emb.ghost_ids.begin()));
-      }
+      emb.arc_ref.push_back(
+          view.owns(u) ? view.to_local(u)
+                       : embed::kGhostRef |
+                             static_cast<std::uint32_t>(view.ghost_index(u)));
     }
   }
   // Send my boundary coords to each neighbouring rank that ghosts them.

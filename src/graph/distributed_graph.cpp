@@ -44,8 +44,6 @@ LocalView::LocalView(const CsrGraph& g, std::uint32_t rank, std::uint32_t nranks
   }
   std::sort(ghosts_.begin(), ghosts_.end());
   ghosts_.erase(std::unique(ghosts_.begin(), ghosts_.end()), ghosts_.end());
-  ghost_lookup_.reserve(ghosts_.size());
-  for (VertexId i = 0; i < ghosts_.size(); ++i) ghost_lookup_[ghosts_[i]] = i;
 
   // Group ghosts by owner rank.
   std::uint32_t current_rank = nranks;  // sentinel
@@ -63,8 +61,9 @@ LocalView::LocalView(const CsrGraph& g, std::uint32_t rank, std::uint32_t nranks
 }
 
 VertexId LocalView::ghost_index(VertexId global) const {
-  auto it = ghost_lookup_.find(global);
-  return it == ghost_lookup_.end() ? kInvalidVertex : it->second;
+  const auto it = std::lower_bound(ghosts_.begin(), ghosts_.end(), global);
+  if (it == ghosts_.end() || *it != global) return kInvalidVertex;
+  return static_cast<VertexId>(it - ghosts_.begin());
 }
 
 }  // namespace sp::graph

@@ -15,7 +15,6 @@
 
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "graph/csr_graph.hpp"
@@ -59,7 +58,8 @@ class LocalView {
   /// vertices).
   const std::vector<VertexId>& ghosts() const { return ghosts_; }
 
-  /// Index of a global ghost id within ghosts(), or kInvalidVertex.
+  /// Index of a global ghost id within ghosts(), or kInvalidVertex (for
+  /// an owned id or a non-neighbour). A binary search of ghosts().
   VertexId ghost_index(VertexId global) const;
 
   /// Owned vertices with at least one non-owned neighbour (the paper's
@@ -86,7 +86,6 @@ class LocalView {
   VertexId begin_;
   VertexId end_;
   std::vector<VertexId> ghosts_;
-  std::unordered_map<VertexId, VertexId> ghost_lookup_;
   std::vector<VertexId> boundary_;
   std::vector<std::uint32_t> neighbor_ranks_;
   std::vector<std::vector<VertexId>> ghosts_by_rank_;

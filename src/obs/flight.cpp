@@ -184,14 +184,14 @@ std::uint32_t FlightRecorder::num_strings() const {
 // ---------------------------------------------------------------------------
 
 ScopedFlightRecording::ScopedFlightRecording(FlightRecorder& rec)
-    : prev_(FlightRecorder::current_),
-      prev_sink_(comm::set_flight_sink(&rec)) {
+    : rec_(rec), prev_(FlightRecorder::current_) {
   FlightRecorder::current_ = &rec;
+  if constexpr (comm::kObsEvents) comm::add_listener(&rec);
 }
 
 ScopedFlightRecording::~ScopedFlightRecording() {
+  if constexpr (comm::kObsEvents) comm::remove_listener(&rec_);
   FlightRecorder::current_ = prev_;
-  comm::set_flight_sink(prev_sink_);
 }
 
 // ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@
 // event is one fixed-size Record appended to its rank's ring (old events
 // are overwritten), and the only shared state is the string-intern table
 // behind its own mutex. Appends are single-writer per lane: span/mark
-// records come from the rank's own fiber/thread, and every engine-sink
+// records come from the rank's own fiber/thread, and every engine-event
 // record (comm op, arrival, kill, detector suspicion) is emitted under
 // the engine lock from a context ordered with the subject rank's own
 // appends — so there is no racing write to any lane on either backend
@@ -22,8 +22,8 @@
 // The record stream never touches modeled clocks, partitions, or
 // fingerprints: it only *reads* rank state, so results are bit-identical
 // with the recorder on or off. With SP_OBS off every emission site
-// (obs::Span hooks, engine FlightSink calls, the scalapart auto-install)
-// is compiled out and the recorder never sees an event; the class itself
+// (obs::Span hooks, engine obs events, the scalapart auto-install) is
+// compiled out and the recorder never sees an event; the class itself
 // still builds so dump files stay decodable by tools/postmortem.
 #pragma once
 
@@ -38,7 +38,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "comm/flight_hook.hpp"
+#include "comm/events.hpp"
 
 namespace sp::obs::flight {
 
@@ -107,7 +107,7 @@ struct StageWallStat {
   double modeled_max = 0.0;  // max per-rank modeled seconds for the key
 };
 
-class FlightRecorder : public comm::FlightSink {
+class FlightRecorder : public comm::EngineEvents {
  public:
   static constexpr std::uint32_t kDefaultCapacity = 256;
 
@@ -126,7 +126,7 @@ class FlightRecorder : public comm::FlightSink {
   void mark(std::uint32_t rank, std::string_view name, std::string_view cat,
             double t);
 
-  // ---- Engine sink (comm/flight_hook.hpp) ----
+  // ---- Engine events (comm/events.hpp) ----
 
   void on_comm_op(const comm::CommOpEvent& ev) override;
   void on_arrive(std::uint32_t world_rank, std::uint64_t group,
@@ -219,10 +219,11 @@ class FlightRecorder : public comm::FlightSink {
   std::string dump_path_;
 };
 
-/// RAII installer: `rec` becomes FlightRecorder::current() and the
-/// engine's FlightSink for this scope; the previous pair is restored on
-/// exit (nesting works). With SP_OBS off the install is a no-op — no
-/// emission site exists anyway.
+/// RAII installer: `rec` becomes FlightRecorder::current() and an engine
+/// event listener for this scope. On exit the previous current() is
+/// restored and `rec` stops listening (comm/events.hpp has the nesting
+/// rule). With SP_OBS off only current() changes — no emission site
+/// exists anyway.
 class ScopedFlightRecording {
  public:
   explicit ScopedFlightRecording(FlightRecorder& rec);
@@ -231,8 +232,8 @@ class ScopedFlightRecording {
   ScopedFlightRecording& operator=(const ScopedFlightRecording&) = delete;
 
  private:
+  FlightRecorder& rec_;
   FlightRecorder* prev_;
-  comm::FlightSink* prev_sink_;
 };
 
 /// Packs one Record (kRecordBytes, little-endian, field order as

@@ -99,7 +99,7 @@ void Recorder::on_comm_counters(std::uint32_t world_rank,
                static_cast<double>(arena_hits));
 }
 
-void Recorder::on_detector(const comm::DetectorEvent& ev) {
+void Recorder::on_detector(const comm::DetectorEvent& ev, double /*clock*/) {
   std::lock_guard<std::mutex> hold(mu_);
   metrics_.add("fault/detector_suspicions", ev.suspect, 1.0);
   metrics_.add(ev.escalated ? "fault/detector_escalations"
@@ -127,13 +127,14 @@ void Recorder::clear() {
 }
 
 ScopedRecording::ScopedRecording(Recorder& rec)
-    : prev_(Recorder::current_), prev_sink_(comm::set_obs_sink(&rec)) {
+    : rec_(rec), prev_(Recorder::current_) {
   Recorder::current_ = &rec;
+  if constexpr (comm::kObsEvents) comm::add_listener(&rec);
 }
 
 ScopedRecording::~ScopedRecording() {
+  if constexpr (comm::kObsEvents) comm::remove_listener(&rec_);
   Recorder::current_ = prev_;
-  comm::set_obs_sink(prev_sink_);
 }
 
 }  // namespace sp::obs

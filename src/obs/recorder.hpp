@@ -2,10 +2,10 @@
 // one run (or one scope of runs).
 //
 // Installation is scoped: `obs::Recorder rec; obs::ScopedRecording on(rec);`
-// makes `rec` both Recorder::current() (where obs::Span and the metric
-// helpers report) and the engine's ObsSink (comm/obs_hook.hpp). With no
-// recorder installed every instrumentation site is a cheap null check;
-// with SP_OBS off the sites do not exist at all.
+// makes `rec` Recorder::current() (where obs::Span and the metric helpers
+// report) and adds it to the engine's event listeners (comm/events.hpp).
+// With no recorder installed every instrumentation site is a cheap null
+// check; with SP_OBS off the sites do not exist at all.
 //
 // Events land in per-rank lanes in program order, never interleaved
 // across ranks — which is why the serialized output is bit-identical
@@ -22,13 +22,14 @@
 #include <string_view>
 #include <vector>
 
-#include "comm/obs_hook.hpp"
+#include "comm/engine.hpp"
+#include "comm/events.hpp"
 #include "obs/events.hpp"
 #include "obs/metrics.hpp"
 
 namespace sp::obs {
 
-class Recorder : public comm::ObsSink {
+class Recorder : public comm::EngineEvents {
  public:
   Recorder() = default;
 
@@ -48,7 +49,7 @@ class Recorder : public comm::ObsSink {
   void instant(std::uint32_t rank, std::string_view name, std::string_view cat,
                double t);
 
-  // ---- Engine sink ----
+  // ---- Engine events (comm/events.hpp) ----
 
   /// Records a kComplete comm event and feeds the comm metrics
   /// (comm/messages, comm/bytes, comm/ops.<op>).
@@ -66,7 +67,7 @@ class Recorder : public comm::ObsSink {
   /// Feeds failure-detector decisions into the metrics
   /// (fault/detector_suspicions, fault/detector_retries,
   /// fault/detector_escalations), keyed by the suspected rank.
-  void on_detector(const comm::DetectorEvent& ev) override;
+  void on_detector(const comm::DetectorEvent& ev, double clock) override;
 
   // ---- Metrics ----
 
@@ -113,9 +114,11 @@ class Recorder : public comm::ObsSink {
   MetricsRegistry metrics_;
 };
 
-/// RAII installer: `rec` becomes Recorder::current() and the engine's
-/// comm-op sink for this scope; the previous pair is restored on exit
-/// (nesting works).
+/// RAII installer: `rec` becomes Recorder::current() and an engine event
+/// listener for this scope. On exit the previous current() is restored
+/// and `rec` stops listening; an enclosing recorder keeps listening
+/// throughout (comm/events.hpp). With SP_OBS off only current() changes:
+/// no obs event exists to listen to.
 class ScopedRecording {
  public:
   explicit ScopedRecording(Recorder& rec);
@@ -124,8 +127,8 @@ class ScopedRecording {
   ScopedRecording& operator=(const ScopedRecording&) = delete;
 
  private:
+  Recorder& rec_;
   Recorder* prev_;
-  comm::ObsSink* prev_sink_;
 };
 
 }  // namespace sp::obs

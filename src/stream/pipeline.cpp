@@ -3,7 +3,7 @@
 #include <cstddef>
 #include <span>
 
-#include "comm/obs_hook.hpp"
+#include "comm/engine.hpp"
 #include "obs/span.hpp"
 
 namespace sp::stream {

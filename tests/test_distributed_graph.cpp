@@ -46,9 +46,9 @@ TEST(LocalView, PartitionsAllVertices) {
 TEST(LocalView, GhostsAreExactlyNonOwnedNeighbors) {
   auto g = gen::grid2d(10, 10).graph;
   LocalView view(g, 1, 4);
-  for (VertexId ghost : view.ghosts()) {
-    EXPECT_FALSE(view.owns(ghost));
-    EXPECT_NE(view.ghost_index(ghost), kInvalidVertex);
+  for (VertexId i = 0; i < view.ghosts().size(); ++i) {
+    EXPECT_FALSE(view.owns(view.ghosts()[i]));
+    EXPECT_EQ(view.ghost_index(view.ghosts()[i]), i);
   }
   // Every non-owned neighbour of an owned vertex appears in ghosts.
   for (VertexId local = 0; local < view.num_local(); ++local) {
@@ -58,7 +58,11 @@ TEST(LocalView, GhostsAreExactlyNonOwnedNeighbors) {
       }
     }
   }
+  // Neither an owned id nor a vertex no owned vertex touches is a ghost:
+  // rank 1 owns rows 2..4 of the grid, so row 9 is out of reach.
   EXPECT_EQ(view.ghost_index(view.to_global(0)), kInvalidVertex);
+  EXPECT_EQ(view.ghost_index(99), kInvalidVertex);
+  EXPECT_EQ(view.ghost_index(view.ghosts().front() - 1), kInvalidVertex);
 }
 
 TEST(LocalView, BoundaryLocalsHaveExternalEdges) {

@@ -124,19 +124,44 @@ TEST(ObsRecorder, SpanEndStampsNameAndDuration) {
   EXPECT_TRUE(validate_lanes(rec).empty());
 }
 
+/// kComplete (engine comm-op) events named `op` across all lanes.
+std::size_t comm_ops_named(const Recorder& rec, const std::string& op) {
+  std::size_t n = 0;
+  for (std::uint32_t r = 0; r < rec.num_lanes(); ++r) {
+    for (const Event& ev : rec.lane(r)) {
+      n += ev.kind == EventKind::kComplete && ev.name == op;
+    }
+  }
+  return n;
+}
+
 TEST(ObsRecorder, ScopedRecordingNestsAndRestores) {
   EXPECT_EQ(Recorder::current(), nullptr);
   Recorder outer, inner;
+  comm::BspEngine::Options eo;
+  eo.nranks = 2;
+  comm::BspEngine engine(eo);
   {
     ScopedRecording a(outer);
     EXPECT_EQ(Recorder::current(), &outer);
     {
       ScopedRecording b(inner);
       EXPECT_EQ(Recorder::current(), &inner);
+      engine.run([](comm::Comm& c) { c.barrier(); });
     }
     EXPECT_EQ(Recorder::current(), &outer);
+    engine.run([](comm::Comm& c) {
+      (void)c.allreduce<int>(1, comm::ReduceOp::kSum);
+    });
   }
   EXPECT_EQ(Recorder::current(), nullptr);
+  // Engine events fan out to every installed recorder: the op issued
+  // inside the inner scope reached both, the one after it only the outer.
+  const std::size_t per_op = comm::kObsEvents ? 2 : 0;  // one per rank
+  EXPECT_EQ(comm_ops_named(outer, "barrier"), per_op);
+  EXPECT_EQ(comm_ops_named(inner, "barrier"), per_op);
+  EXPECT_EQ(comm_ops_named(outer, "allreduce"), per_op);
+  EXPECT_EQ(comm_ops_named(inner, "allreduce"), 0u);
 }
 
 TEST(ObsRecorder, ValidatorFlagsImbalancedLanes) {

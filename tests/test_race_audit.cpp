@@ -122,7 +122,7 @@ TEST(RaceAudit, KilledRankWritesOrderedByItsDeath) {
 }
 
 TEST(RaceAudit, NoAuditorInstalledHasNoEffect) {
-  // Annotations without a sink are inert: the program runs and computes
+  // Annotations without an auditor are inert: the program runs and computes
   // normally (this is the production configuration even with
   // SP_ANALYSIS=ON).
   std::vector<std::uint32_t> dir(4, 0);
@@ -468,7 +468,7 @@ TEST(RaceAudit, MultiFaultRecoveryIsClean) {
 }
 
 TEST(RaceAudit, AuditingDoesNotPerturbResults) {
-  // Annotations and the installed sink are observationally pure: the
+  // Annotations and the installed auditor are observationally pure: the
   // partition, cut, and modeled clocks are bit-identical with and
   // without the auditor.
   const auto g = graph::gen::delaunay(600, 3).graph;
